@@ -13,12 +13,9 @@ from .errors import (
 from .games import (
     Baseline,
     PolynomialGame,
-    SubsetMask,
     SyntheticGame,
     ValueFunction,
     compute_baseline,
-    enumerate_subsets,
-    make_masked_input,
     masked_matrix,
     sample_subset,
     synthetic_game,
@@ -33,12 +30,10 @@ from .interactions import (
     delta_v,
     efficiency_residual,
     efficiency_weight,
-    independent_effect,
     interaction_order_exact,
     interaction_order_mc,
     order_profile,
     order_strength,
-    pair_interaction,
     read_profile_csv,
     write_profile_csv,
 )
@@ -53,7 +48,6 @@ from .mlp import (
     get_flat_params,
     load_model,
     log_softmax,
-    masked_forward,
     save_model,
     set_flat_params,
     softmax,
@@ -65,7 +59,6 @@ from .modulation import (
     combined_loss,
     combined_value_and_grad,
     delta_u,
-    delta_u_class,
     encourage_value_and_grad,
     loss_encourage,
     loss_suppress,

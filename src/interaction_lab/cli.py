@@ -69,6 +69,13 @@ def _write_json(path, obj: dict) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True) + "\n", newline="")
 
 
+def _out_path(text: str) -> str:
+    # checked at parse time, so a bad path fails before any work is done
+    if not Path(text).parent.is_dir():
+        raise argparse.ArgumentTypeError(f"directory of {text} does not exist")
+    return text
+
+
 def _print_json(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
@@ -249,8 +256,6 @@ def _load_train_config(path, seed_override: int | None) -> tuple[TrainConfig, st
         terms = tuple(ModulationSpec.from_json_dict(entry) for entry in entries)
     if seed_override is not None:
         raw["seed"] = seed_override
-    if "hidden_sizes" in raw:
-        raw["hidden_sizes"] = tuple(raw["hidden_sizes"])
     try:
         config = TrainConfig(terms=terms, **raw)
     except TypeError as exc:
@@ -338,17 +343,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, default=16,
                    help="dataset rows profiled; 0 means every row")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_out_path)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("theory", help="reference curve, optionally fit to a profile")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--fit", default=None,
                    help="profile CSV to fit an effective player count to")
-    p.add_argument("--fit-out", default=None,
+    p.add_argument("--fit-out", default=None, type=_out_path,
                    help="also write the fit result JSON here")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_out_path)
     p.set_defaults(func=_cmd_theory)
 
     p = sub.add_parser("train", help="train a model per a JSON config")
@@ -369,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--step-size", type=float, default=0.01)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, type=_out_path)
     p.set_defaults(func=_cmd_attack)
     return parser
 

@@ -20,7 +20,7 @@ from math import floor
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import DomainError, SchemaError, ValidationError
 from .rng import make_rng
@@ -213,8 +213,9 @@ def _finish_task(features: np.ndarray, labels: np.ndarray, noise: float,
 
 def _conjunction_indicator(features: np.ndarray, members: np.ndarray,
                            degree: int) -> np.ndarray:
-    # per-feature threshold puts the full conjunction near a 50/50 split
-    threshold = norm.ppf(1.0 - 0.5 ** (1.0 / degree))
+    # per-feature threshold puts the full conjunction near a 50/50 split;
+    # ndtri is the standard normal quantile (scipy.stats costs ~0.4 s to import)
+    threshold = ndtri(1.0 - 0.5 ** (1.0 / degree))
     return np.all(features[:, members] > threshold, axis=1)
 
 

@@ -1,73 +1,41 @@
-"""Players, subsets, masking semantics, and closed-form oracle games.
+"""Players, coalitions, masking semantics, and closed-form oracle games.
 
-A "player" is one input dimension. A subset S of players identifies the
-unmasked variables; everything outside S is replaced by a per-variable
-baseline value. Synthetic polynomial games evaluate v(S) exactly from a term
-list and serve as ground truth for the interaction estimators.
+A "player" is one input dimension; a game has n players, 2 <= n <= 64. A
+coalition S is the set of unmasked players, held as one unsigned 64-bit
+mask: bit k is set when player k is in S. Everything outside S is replaced
+by a per-variable baseline value. ValueFunction.evaluate_many takes an array
+of masks (numpy uint64, or Python ints) and returns one value per mask.
+Synthetic polynomial games evaluate v(S) exactly from a term list and serve
+as ground truth for the interaction estimators.
 """
 from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, ValidationError
 
-MAX_PLAYERS = 64  # index sets are representable as fixed-width bitmasks
+MAX_PLAYERS = 64  # a coalition is one uint64 mask
+_PLAYER_BITS = np.uint64(1) << np.arange(MAX_PLAYERS, dtype=np.uint64)
 
 
-@dataclass(frozen=True)
-class SubsetMask:
-    """An immutable set of player indices within {0, ..., n-1}."""
+def check_player_count(n: int) -> int:
+    """n itself, once it is a player count a uint64 mask can hold."""
+    if not (2 <= n <= MAX_PLAYERS):
+        raise DomainError(f"player count must be in [2, {MAX_PLAYERS}], got {n}")
+    return n
 
-    n: int
-    members: frozenset[int]
 
-    def __post_init__(self):
-        if not (2 <= self.n <= MAX_PLAYERS):
-            raise DomainError(f"player count must be in [2, {MAX_PLAYERS}], got {self.n}")
-        if not isinstance(self.members, frozenset):
-            object.__setattr__(self, "members", frozenset(self.members))
-        for k in self.members:
-            if not (0 <= int(k) < self.n):
-                raise DomainError(f"member index {k} outside [0, {self.n})")
-
-    @classmethod
-    def empty(cls, n: int) -> "SubsetMask":
-        return cls(n, frozenset())
-
-    @classmethod
-    def full(cls, n: int) -> "SubsetMask":
-        return cls(n, frozenset(range(n)))
-
-    @classmethod
-    def of(cls, n: int, indices: Sequence[int]) -> "SubsetMask":
-        return cls(n, frozenset(int(k) for k in indices))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, k: int) -> bool:
-        return k in self.members
-
-    def add(self, *indices: int) -> "SubsetMask":
-        return SubsetMask(self.n, self.members | set(indices))
-
-    def without(self, *indices: int) -> "SubsetMask":
-        return SubsetMask(self.n, self.members - set(indices))
-
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
-    @property
-    def bits(self) -> int:
-        mask = 0
-        for k in self.members:
-            mask |= 1 << k
-        return mask
+def as_masks(bits, n: int) -> np.ndarray:
+    """bits as a uint64 array, checked to name only players 0..n-1."""
+    masks = np.asarray(bits, dtype=np.uint64)
+    if np.any(masks & ~np.uint64((1 << check_player_count(n)) - 1)):
+        raise DomainError(f"mask names a player outside [0, {n})")
+    return masks
 
 
 @dataclass
@@ -90,32 +58,21 @@ class Baseline:
         return cls(np.zeros(n))
 
 
-def make_masked_input(x, S: SubsetMask, b: Baseline) -> np.ndarray:
-    """Keep x on the players in S, substitute the baseline elsewhere."""
-    x = np.asarray(x, dtype=float)
-    if len(x) != len(b) or len(x) != S.n:
-        raise DimensionError(
-            f"sample ({len(x)}), baseline ({len(b)}) and mask ({S.n}) lengths differ")
-    keep = np.zeros(S.n, dtype=bool)
-    for k in S.members:
-        keep[k] = True
-    return np.where(keep, x, b.values)
+def masked_matrix(x, bits, b: Baseline) -> np.ndarray:
+    """One row per mask: x on the mask's players, the baseline elsewhere.
 
-
-def masked_matrix(x, subsets: Sequence[SubsetMask], b: Baseline) -> np.ndarray:
-    """Stack make_masked_input over many subsets into one (len(subsets), n) matrix."""
+    x is one sample of length n, or one sample per mask as a (len(bits), n)
+    matrix.
+    """
     x = np.asarray(x, dtype=float)
-    n = len(x)
+    n = x.shape[-1]
     if len(b) != n:
         raise DimensionError("sample and baseline lengths differ")
-    out = np.tile(b.values, (len(subsets), 1))
-    for r, S in enumerate(subsets):
-        if S.n != n:
-            raise DimensionError("mask player count does not match the sample")
-        idx = S.sorted_members()
-        if idx:
-            out[r, list(idx)] = x[list(idx)]
-    return out
+    masks = as_masks(bits, n).reshape(-1)
+    if x.ndim == 2 and len(x) != len(masks):
+        raise DimensionError(f"{len(x)} samples for {len(masks)} masks")
+    keep = (masks[:, None] & _PLAYER_BITS[:n]) != 0
+    return np.where(keep, x, b.values)
 
 
 def compute_baseline(dataset) -> Baseline:
@@ -128,39 +85,33 @@ def compute_baseline(dataset) -> Baseline:
     return Baseline(data.mean(axis=0))
 
 
-def enumerate_subsets(pool: SubsetMask, m: int) -> Iterator[SubsetMask]:
-    """All size-m subsets of the pool in lexicographic order of sorted indices."""
-    if not (0 <= m <= len(pool)):
-        raise DomainError(f"subset size {m} outside [0, {len(pool)}]")
-    for combo in itertools.combinations(pool.sorted_members(), m):
-        yield SubsetMask.of(pool.n, combo)
+def sample_subset(pool: int, m: int, rng: np.random.Generator) -> int:
+    """One uniform size-m sub-mask of the pool mask; identical stream -> identical subset.
 
-
-def sample_subset(pool: SubsetMask, m: int, rng: np.random.Generator) -> SubsetMask:
-    """One uniform size-m subset of the pool; identical stream -> identical subset."""
-    if not (0 <= m <= len(pool)):
-        raise DomainError(f"subset size {m} outside [0, {len(pool)}]")
-    members = np.array(pool.sorted_members(), dtype=int)
-    picked = rng.permutation(members)[:m]
-    return SubsetMask.of(pool.n, picked.tolist())
+    The draw is rng.permutation over the pool's players in ascending order,
+    keeping the first m.
+    """
+    members = _PLAYER_BITS[(np.uint64(pool) & _PLAYER_BITS) != 0]
+    if not (0 <= m <= len(members)):
+        raise DomainError(f"subset size {m} outside [0, {len(members)}]")
+    # permuting the players' bits permutes them exactly as their indices
+    return int(rng.permutation(members)[:m].sum())
 
 
 class ValueFunction(ABC):
     """Deterministic, side-effect-free masked-input score v(S | x).
 
-    `x` is whatever the concrete game expects (closed-form games ignore it;
-    model-backed games take a sample or a (features, label) pair). Evaluation
-    must be safe for concurrent read-only use.
+    evaluate_many(bits, x) takes an array of coalition masks (bit k set when
+    player k is unmasked) and returns one float per mask. `x` is whatever the
+    concrete game expects (closed-form games ignore it; model-backed games
+    take a sample or a (features, label) pair).
     """
 
     n: int
 
     @abstractmethod
-    def evaluate(self, S: SubsetMask, x=None) -> float:
+    def evaluate_many(self, bits, x=None) -> np.ndarray:
         ...
-
-    def evaluate_many(self, subsets: Sequence[SubsetMask], x=None) -> np.ndarray:
-        return np.array([self.evaluate(S, x) for S in subsets])
 
 
 @dataclass
@@ -225,17 +176,13 @@ class PolynomialGame(ValueFunction):
 
     def __init__(self, spec: SyntheticGame):
         self.spec = spec
-        self.n = spec.n
+        self.n = check_player_count(spec.n)
         self._term_bits = np.array(
             [sum(1 << k for k in coal) for coal, _ in spec.terms], dtype=np.uint64)
         self._coeffs = np.array([c for _, c in spec.terms], dtype=float)
 
-    def evaluate(self, S: SubsetMask, x=None) -> float:
-        # route through evaluate_many so both paths sum in the same order
-        return float(self.evaluate_many([S], x)[0])
-
-    def evaluate_many(self, subsets: Sequence[SubsetMask], x=None) -> np.ndarray:
-        bits = np.array([S.bits for S in subsets], dtype=np.uint64)[:, None]
+    def evaluate_many(self, bits, x=None) -> np.ndarray:
+        bits = as_masks(bits, self.n).reshape(-1, 1)
         inside = (self._term_bits[None, :] & bits) == self._term_bits[None, :]
         # row-wise reduction keeps each value independent of batch size
         return (inside * self._coeffs).sum(axis=1)

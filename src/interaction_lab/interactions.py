@@ -28,7 +28,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import DimensionError, DomainError, GuardError, SchemaError, ValidationError
-from .games import Baseline, SubsetMask, ValueFunction, masked_matrix, sample_subset
+from .games import (Baseline, ValueFunction, as_masks, check_player_count, masked_matrix,
+                    sample_subset)
 from .rng import child_seed, make_rng
 from .textio import format_float, read_csv, write_csv
 
@@ -114,26 +115,18 @@ class ValueCache:
     def __len__(self) -> int:
         return len(self._known)
 
-    def _mask(self, bits: int) -> SubsetMask:
-        return SubsetMask(self.game.n, frozenset(k for k in range(self.game.n) if bits >> k & 1))
-
-    def values(self, bits: Sequence[int]) -> np.ndarray:
-        fresh = []
-        seen = set()
-        for b in bits:
-            b = int(b)
-            if b not in self._known and b not in seen:
-                seen.add(b)
-                fresh.append(b)
+    def values(self, bits) -> np.ndarray:
+        keys = np.asarray(bits, dtype=np.uint64).tolist()
+        # unknown masks in order of first appearance
+        fresh = list(dict.fromkeys(b for b in keys if b not in self._known))
         if fresh:
-            out = np.asarray(self.game.evaluate_many([self._mask(b) for b in fresh], x=self.x),
-                             dtype=float)
+            out = np.asarray(self.game.evaluate_many(np.array(fresh, dtype=np.uint64),
+                                                     x=self.x), dtype=float)
             if out.shape != (len(fresh),):
                 raise DimensionError(
-                    f"evaluate_many returned shape {out.shape} for {len(fresh)} subsets")
-            for b, v in zip(fresh, out):
-                self._known[b] = float(v)
-        return np.array([self._known[int(b)] for b in bits], dtype=float)
+                    f"evaluate_many returned shape {out.shape} for {len(fresh)} masks")
+            self._known.update(zip(fresh, out.tolist()))
+        return np.array([self._known[b] for b in keys], dtype=float)
 
     def value(self, bits: int) -> float:
         return float(self.values([bits])[0])
@@ -154,22 +147,21 @@ def _check_order(n: int, m: int) -> None:
 
 
 def _deltas(cache: ValueCache, base_bits: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    blo, bhi = 1 << lo, 1 << hi
+    blo, bhi = np.uint64(1 << lo), np.uint64(1 << hi)
     stacked = np.concatenate([base_bits | blo | bhi, base_bits, base_bits | blo, base_bits | bhi])
-    vals = cache.values(stacked.tolist()).reshape(4, -1)
+    vals = cache.values(stacked).reshape(4, -1)
     return (vals[0] + vals[1]) - (vals[2] + vals[3])
 
 
-def delta_v(game: ValueFunction, i: int, j: int, S: SubsetMask,
+def delta_v(game: ValueFunction, i: int, j: int, S: int,
             x=None, cache: ValueCache | None = None) -> float:
-    """Second-order difference of v at context S; S must exclude both players."""
+    """Second-order difference of v at the context mask S; S must exclude both players."""
     lo, hi = _check_pair(game.n, i, j)
-    if S.n != game.n:
-        raise DimensionError(f"context is over {S.n} players, game has {game.n}")
-    if lo in S or hi in S:
+    context = as_masks([S], game.n)
+    if context[0] & np.uint64((1 << lo) | (1 << hi)):
         raise DomainError("context must not contain either player of the pair")
     cache = cache if cache is not None else ValueCache(game, x)
-    return float(_deltas(cache, np.array([S.bits], dtype=np.int64), lo, hi)[0])
+    return float(_deltas(cache, context, lo, hi)[0])
 
 
 def interaction_order_exact(game: ValueFunction, i: int, j: int, m: int,
@@ -186,7 +178,7 @@ def interaction_order_exact(game: ValueFunction, i: int, j: int, m: int,
     pool = [k for k in range(n) if k != lo and k != hi]
     base_bits = np.array(
         [sum(1 << k for k in combo) for combo in itertools.combinations(pool, m)],
-        dtype=np.int64)
+        dtype=np.uint64)
     deltas = _deltas(cache, base_bits, lo, hi)
     return InteractionEstimate(value=float(deltas.mean()), std_error=0.0,
                                samples_used=len(base_bits), exact=True)
@@ -215,42 +207,14 @@ def interaction_order_mc(game: ValueFunction, i: int, j: int, m: int,
     if n <= MAX_EXACT_PLAYERS and num_samples == total:
         return interaction_order_exact(game, i, j, m, x=x, cache=cache)
     cache = cache if cache is not None else ValueCache(game, x)
-    pool = SubsetMask.of(n, [k for k in range(n) if k != lo and k != hi])
+    pool = ((1 << n) - 1) & ~((1 << lo) | (1 << hi))
     rng = make_rng(seed, lo, hi, m)
-    base_bits = np.array(
-        [sample_subset(pool, m, rng).bits for _ in range(num_samples)], dtype=np.int64)
+    base_bits = np.array([sample_subset(pool, m, rng) for _ in range(num_samples)],
+                         dtype=np.uint64)
     deltas = _deltas(cache, base_bits, lo, hi)
     se = float(np.std(deltas, ddof=1) / np.sqrt(num_samples)) if num_samples > 1 else 0.0
     return InteractionEstimate(value=float(deltas.mean()), std_error=se,
                                samples_used=num_samples, exact=False)
-
-
-def independent_effect(game: ValueFunction, i: int,
-                       x=None, cache: ValueCache | None = None) -> float:
-    """v({i}) - v(empty): the player's solo contribution over the baseline."""
-    if not (0 <= i < game.n):
-        raise DomainError(f"player index {i} outside [0, {game.n})")
-    cache = cache if cache is not None else ValueCache(game, x)
-    vals = cache.values([1 << i, 0])
-    return float(vals[0] - vals[1])
-
-
-def pair_interaction(game: ValueFunction, i: int, j: int,
-                     per_order_budget: int, seed: int,
-                     x=None, cache: ValueCache | None = None) -> float:
-    """Mean of the per-order interactions over the full grid m = 0..n-2.
-
-    The per-order budget is capped at the context count, so covered orders are
-    enumerated exactly rather than resampled.
-    """
-    n = game.n
-    _check_pair(n, i, j)
-    cache = cache if cache is not None else ValueCache(game, x)
-    values = [interaction_order_mc(game, i, j, m,
-                                   _capped_budget(n, m, per_order_budget), seed,
-                                   x=x, cache=cache).value
-              for m in range(n - 1)]
-    return float(np.mean(values))
 
 
 def _capped_budget(n: int, m: int, budget: int) -> int:
@@ -310,7 +274,7 @@ def order_profile(game: ValueFunction, samples: Sequence,
     """Strength per order, averaged over the given samples, normalized to mean one.
 
     samples is a non-empty sequence of opaque per-sample inputs handed to the
-    game's evaluate (closed-form games take [None]; model-backed games take
+    game's evaluate_many (closed-form games take [None]; model-backed games take
     (features, target) pairs). Each sample runs under its own derived seed
     and its own value cache. The normalization denominator is the mean over
     the declared grid only.
@@ -370,8 +334,8 @@ def efficiency_residual(game: ValueFunction, x=None) -> EfficiencyReport:
         raise GuardError(
             f"efficiency check is limited to n <= {MAX_EFFICIENCY_PLAYERS}, got n={n}")
     cache = ValueCache(game, x)
-    table = cache.values(list(range(1 << n)))
-    all_bits = np.arange(1 << n, dtype=np.int64)
+    all_bits = np.arange(1 << n, dtype=np.uint64)
+    table = cache.values(all_bits)
     popcount = np.array([int(b).bit_count() for b in range(1 << n)], dtype=np.int64)
 
     lhs = float(table[(1 << n) - 1])
@@ -382,7 +346,7 @@ def efficiency_residual(game: ValueFunction, x=None) -> EfficiencyReport:
     counts = np.array([comb(n - 2, m) for m in range(n - 1)], dtype=float)
     per_order = np.zeros(n - 1)
     for lo, hi in itertools.combinations(range(n), 2):
-        blo, bhi = 1 << lo, 1 << hi
+        blo, bhi = np.uint64(1 << lo), np.uint64(1 << hi)
         sub = all_bits[(all_bits & (blo | bhi)) == 0]
         deltas = (table[sub | blo | bhi] + table[sub]) - (table[sub | blo] + table[sub | bhi])
         sums = np.bincount(popcount[sub], weights=deltas, minlength=n - 1)
@@ -410,9 +374,7 @@ class LogOddsGame(ValueFunction):
     def __init__(self, model, baseline: Baseline, sample=None):
         self.model = model
         self.baseline = baseline
-        self.n = len(baseline)
-        if self.n < 2:
-            raise DomainError("log-odds game needs at least two features")
+        self.n = check_player_count(len(baseline))
         self.sample = self._checked(sample) if sample is not None else None
 
     def _checked(self, sample) -> tuple[np.ndarray, int]:
@@ -430,17 +392,14 @@ class LogOddsGame(ValueFunction):
             raise DomainError(f"target class must be non-negative, got {target}")
         return features, target
 
-    def evaluate(self, S: SubsetMask, x=None) -> float:
-        return float(self.evaluate_many([S], x=x)[0])
-
-    def evaluate_many(self, subsets: Sequence[SubsetMask], x=None) -> np.ndarray:
+    def evaluate_many(self, bits, x=None) -> np.ndarray:
         if x is None:
             if self.sample is None:
                 raise ValidationError("no sample given and no default sample set")
             features, target = self.sample
         else:
             features, target = self._checked(x)
-        rows = masked_matrix(features, list(subsets), self.baseline)
+        rows = masked_matrix(features, bits, self.baseline)
         logits = np.asarray(self.model.forward(rows), dtype=float)
         if logits.ndim != 2 or logits.shape[0] != len(rows):
             raise DimensionError(f"model returned logits of shape {logits.shape}")

@@ -17,7 +17,6 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import DimensionError, DomainError, NumericError, SchemaError, ValidationError
-from .games import Baseline, SubsetMask, make_masked_input
 from .rng import make_rng
 
 MODEL_FORMAT_VERSION = 1
@@ -140,18 +139,6 @@ class MLP:
             if l > 0:
                 dz = dh * (pre[l - 1] > 0.0)
         return ParamGrads(weights=grads_w, biases=grads_b, inputs=dh)
-
-
-def zero_grads(model: MLP, batch_rows: int) -> ParamGrads:
-    return ParamGrads(weights=[np.zeros_like(w) for w in model.weights],
-                      biases=[np.zeros_like(b) for b in model.biases],
-                      inputs=np.zeros((batch_rows, model.num_features)))
-
-
-def masked_forward(model: MLP, x, S: SubsetMask, baseline: Baseline) -> np.ndarray:
-    """Logits on x with the players outside S replaced by the baseline."""
-    row = make_masked_input(x, S, baseline)
-    return model.forward(row[None, :])[0]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .errors import DomainError, GuardError, NumericError, ValidationError
-from .games import Baseline, SubsetMask, ValueFunction, masked_matrix, sample_subset
+from .games import Baseline, ValueFunction, masked_matrix, sample_subset
 from .interactions import ValueCache, interaction_order_exact
 from .mlp import MLP, ParamGrads, ce_value_and_grad, cross_entropy, cross_entropy_grad, softmax
 from .rng import child_seed, make_rng
@@ -109,9 +109,12 @@ class ModulationSpec:
         for key in ("kind", "r1", "r2", "lambda"):
             if key not in obj:
                 raise ValidationError(f"modulation term is missing {key!r}")
-        return cls(kind=obj["kind"], r1=float(obj["r1"]), r2=float(obj["r2"]),
-                   lam=float(obj["lambda"]),
-                   pair_samples=int(obj.get("pair_samples", 4)),
+        try:
+            r1, r2, lam = float(obj["r1"]), float(obj["r2"]), float(obj["lambda"])
+            pair_samples = int(obj.get("pair_samples", 4))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"modulation term has a non-numeric field: {exc}") from None
+        return cls(kind=obj["kind"], r1=r1, r2=r2, lam=lam, pair_samples=pair_samples,
                    seed=obj.get("seed"))
 
 
@@ -162,23 +165,23 @@ def _effective_ratio(s1: int, s2: int) -> float:
 
 
 def _sample_pairs(n: int, s1: int, s2: int, count: int,
-                  rng: np.random.Generator) -> list[tuple[int, int]]:
-    full = SubsetMask.full(n)
-    pairs = []
-    for _ in range(count):
-        outer = sample_subset(full, s2, rng)
-        inner = sample_subset(outer, s1, rng)
-        pairs.append((inner.bits, outer.bits))
+                  rng: np.random.Generator) -> np.ndarray:
+    """(2, count) uint64 masks: row 0 holds each S1, row 1 the S2 around it."""
+    pairs = np.empty((2, count), dtype=np.uint64)
+    for p in range(count):
+        outer = sample_subset((1 << n) - 1, s2, rng)
+        pairs[:, p] = sample_subset(outer, s1, rng), outer
     return pairs
 
 
-def _enumerate_pairs(n: int, s1: int, s2: int) -> list[tuple[int, int]]:
+def _enumerate_pairs(n: int, s1: int, s2: int) -> np.ndarray:
+    """Every nested pair, laid out as in _sample_pairs."""
     pairs = []
     for outer in itertools.combinations(range(n), s2):
         outer_bits = sum(1 << k for k in outer)
         for inner in itertools.combinations(outer, s1):
             pairs.append((sum(1 << k for k in inner), outer_bits))
-    return pairs
+    return np.array(pairs, dtype=np.uint64).T
 
 
 def delta_u(game: ValueFunction, r1: float, r2: float, pair_samples: int, seed: int,
@@ -203,43 +206,9 @@ def delta_u(game: ValueFunction, r1: float, r2: float, pair_samples: int, seed: 
         if pair_samples < 1:
             raise DomainError(f"pair_samples must be positive, got {pair_samples}")
         pairs = _sample_pairs(n, s1, s2, pair_samples, make_rng(seed))
-    inner_vals = cache.values([p[0] for p in pairs])
-    outer_vals = cache.values([p[1] for p in pairs])
+    inner_vals = cache.values(pairs[0])
+    outer_vals = cache.values(pairs[1])
     return float(np.mean(outer_vals - ratio * inner_vals))
-
-
-def _class_logits(model: MLP, features: np.ndarray, baseline: Baseline,
-                  bits: Sequence[int], n: int) -> np.ndarray:
-    subsets = [SubsetMask(n, frozenset(k for k in range(n) if b >> k & 1)) for b in bits]
-    rows = masked_matrix(features, subsets, baseline)
-    return model.forward(rows)
-
-
-def delta_u_class(model: MLP, x, c: int, r1: float, r2: float, pair_samples: int,
-                  seed: int, baseline: Baseline, exact: bool = False) -> float:
-    """delta_u applied to the raw class-c logit of a model.
-
-    Raw logits (not log odds) keep a consistent scale across classes so the
-    per-class values can feed one softmax. Calls with the same seed share the
-    same sampled pairs, which is what makes per-class values comparable.
-    """
-    n = len(baseline)
-    if not (0 <= c < model.num_classes):
-        raise DomainError(f"class {c} outside [0, {model.num_classes})")
-    features = np.asarray(x, dtype=float)
-    s1, s2 = band_sizes(n, r1, r2)
-    ratio = _effective_ratio(s1, s2)
-    if exact:
-        if n > MAX_EXACT_DELTA_U_PLAYERS:
-            raise GuardError(
-                f"exact pair enumeration is limited to n <= {MAX_EXACT_DELTA_U_PLAYERS}, "
-                f"got n={n}")
-        pairs = _enumerate_pairs(n, s1, s2)
-    else:
-        pairs = _sample_pairs(n, s1, s2, pair_samples, make_rng(seed))
-    inner = _class_logits(model, features, baseline, [p[0] for p in pairs], n)
-    outer = _class_logits(model, features, baseline, [p[1] for p in pairs], n)
-    return float(np.mean(outer[:, c] - ratio * inner[:, c]))
 
 
 def _band_delta_logits(model: MLP, X: np.ndarray, baseline: Baseline,
@@ -258,15 +227,12 @@ def _band_delta_logits(model: MLP, X: np.ndarray, baseline: Baseline,
     s1, s2 = band_sizes(n, r1, r2)
     ratio = _effective_ratio(s1, s2)
     batch = len(X)
-    stacked = np.empty((batch * 2 * pair_samples, n))
+    # row b owns stack rows [2Pb, 2P(b+1)): its P inner masks, then its P outer ones
+    bits = np.empty((batch, 2, pair_samples), dtype=np.uint64)
     for b in range(batch):
-        pairs = _sample_pairs(n, s1, s2, pair_samples, make_rng(child_seed(seed, _ROW_STREAM, b)))
-        subsets = [SubsetMask(n, frozenset(k for k in range(n) if bits >> k & 1))
-                   for bits, _ in pairs]
-        subsets += [SubsetMask(n, frozenset(k for k in range(n) if bits >> k & 1))
-                    for _, bits in pairs]
-        base = b * 2 * pair_samples
-        stacked[base:base + 2 * pair_samples] = masked_matrix(X[b], subsets, baseline)
+        bits[b] = _sample_pairs(n, s1, s2, pair_samples,
+                                make_rng(child_seed(seed, _ROW_STREAM, b)))
+    stacked = masked_matrix(np.repeat(X, 2 * pair_samples, axis=0), bits.reshape(-1), baseline)
     if need_trace:
         logits, trace = model.forward_trace(stacked)
     else:

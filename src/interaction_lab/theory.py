@@ -20,7 +20,7 @@ best matches the measurement in mean squared log space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, exp, lgamma, log
+from math import comb, exp, lgamma, log, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +32,7 @@ from .rng import make_rng
 from .textio import format_float, read_csv, write_csv
 
 MAX_SIMULATED_CONTEXTS = 1_000_000
+MAX_CURVE_PLAYERS = 1000  # every C(n-2, m) stays inside the float range
 
 THEORY_HEADER = "m,f_hat"
 
@@ -81,8 +82,10 @@ def contextual_variability(n: int, m: int) -> int:
 
 def learning_strength_hat(n: int, m: int) -> float:
     """f_hat(m): relative ease of learning an order-m interaction; f_hat(0) = 1."""
+    if n > MAX_CURVE_PLAYERS:
+        raise GuardError(f"the curve is limited to n <= {MAX_CURVE_PLAYERS}, got n={n}")
     u = contextual_variability(n, m)
-    return float((n - m - 1) / (n - 1) / np.sqrt(u))
+    return (n - m - 1) / (n - 1) / sqrt(u)
 
 
 def theory_curve(n: int) -> TheoryCurve:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,14 @@ class TrainConfig:
     val_fraction: float = 0.25
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed", "snapshot_every"):
+            _require(name, getattr(self, name), Integral)
+        for name in ("learning_rate", "train_fraction", "val_fraction"):
+            _require(name, getattr(self, name), Real)
+        if not isinstance(self.hidden_sizes, (list, tuple)):
+            raise ValidationError(f"hidden_sizes must be a list, got {self.hidden_sizes!r}")
+        for size in self.hidden_sizes:
+            _require("hidden_sizes", size, Integral)
         object.__setattr__(self, "hidden_sizes", tuple(int(s) for s in self.hidden_sizes))
         object.__setattr__(self, "terms", tuple(self.terms))
         if self.epochs < 1:
@@ -87,6 +96,13 @@ class TrainConfig:
             raise ValidationError(
                 f"split fractions must sum to 1, got "
                 f"{self.train_fraction} + {self.val_fraction}")
+
+
+def _require(name: str, value, kind) -> None:
+    # bool is an Integral too, but a flag is never a count or a rate
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is Integral else "a number"
+        raise ValidationError(f"{name} must be {noun}, got {value!r}")
 
 
 @dataclass(frozen=True)

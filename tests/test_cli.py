@@ -211,3 +211,66 @@ def test_usage_errors_exit_1(capsys):
     assert "error: validation:" in capsys.readouterr().err
     assert main(["verify", "--suite", "bogus"]) == 1
     assert main(["theory", "--n", "6"]) == 1  # --out is required
+
+
+def _wide_model(root, n):
+    """A dataset CSV with n features and an untrained model that reads it."""
+    data = root / f"wide{n}.csv"
+    write_dataset_csv(data, make_pairwise_task(200, n, 4, seed=1))
+    model = root / f"wide{n}.json"
+    save_model(model, MLP((n, 8, 2), seed=0))
+    return ["--model", str(model), "--data", str(data)]
+
+
+def test_analyze_handles_64_players(tmp_path, capsys):
+    out = tmp_path / "wide.csv"
+    code = main(["analyze", *_wide_model(tmp_path, 64), "--pairs", "2", "--orders", "5",
+                 "--samples", "4", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert "n=64" in out.read_text()
+
+
+def test_analyze_rejects_65_players(tmp_path, capsys):
+    code = main(["analyze", *_wide_model(tmp_path, 65), "--pairs", "2", "--orders", "5",
+                 "--samples", "4", "--out", str(tmp_path / "wide.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: validation: player count must be in [2, 64], got 65"]
+
+
+def _train(overrides):
+    def argv(workdir, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"epochs": 1, "batch_size": 32, "learning_rate": 0.1,
+                                      "seed": 0, "hidden_sizes": [4], **overrides}))
+        return ["train", "--config", str(config), "--data", str(workdir / "task.csv"),
+                "--out-dir", str(tmp_path / "run")]
+    return argv
+
+
+def _saved(command, *flags):
+    def argv(workdir, tmp_path):
+        return [command, "--model", str(workdir / "run" / "model.json"),
+                "--data", str(workdir / "task.csv"), *flags,
+                "--out", str(tmp_path / "missing" / "out")]
+    return argv
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(_train({"epochs": 1.5}), id="fractional-epochs"),
+    pytest.param(_train({"hidden_sizes": 5}), id="scalar-hidden-sizes"),
+    pytest.param(_train({"terms": [{"kind": "suppress", "r1": "x", "r2": 1.0,
+                                    "lambda": 1.0}]}), id="non-numeric-term"),
+    pytest.param(lambda w, t: ["theory", "--n", "100000", "--out", str(t / "curve.csv")],
+                 id="huge-theory-n"),
+    pytest.param(_saved("analyze"), id="analyze-out-in-missing-dir"),
+    pytest.param(_saved("attack", "--eps", "0.1"), id="attack-out-in-missing-dir"),
+    pytest.param(lambda w, t: ["theory", "--n", "6", "--out", str(t / "missing" / "c.csv")],
+                 id="theory-out-in-missing-dir"),
+])
+def test_malformed_input_is_one_error_line(argv, workdir, tmp_path, capsys):
+    code = main(argv(workdir, tmp_path))
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: validation: ")

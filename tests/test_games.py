@@ -5,62 +5,69 @@ from interaction_lab import (
     Baseline,
     DimensionError,
     DomainError,
-    SubsetMask,
+    PolynomialGame,
     SyntheticGame,
     ValidationError,
     compute_baseline,
-    enumerate_subsets,
-    make_masked_input,
     masked_matrix,
     make_rng,
     sample_subset,
     synthetic_game,
 )
 
-
-def test_subset_mask_basics():
-    s = SubsetMask.of(5, [0, 3])
-    assert len(s) == 2
-    assert 3 in s and 1 not in s
-    assert s.sorted_members() == (0, 3)
-    assert s.bits == 0b01001
-    assert s.add(1).sorted_members() == (0, 1, 3)
-    assert s.without(3).sorted_members() == (0,)
-    assert SubsetMask.empty(5).bits == 0
-    assert SubsetMask.full(3).sorted_members() == (0, 1, 2)
+TOP = 1 << 63  # player 63, the highest a uint64 mask holds
 
 
 def test_subset_mask_rejects_out_of_range():
     with pytest.raises(ValidationError):
-        SubsetMask(3, frozenset({3}))
+        masked_matrix(np.ones(3), [0b1000], Baseline.zeros(3))
     with pytest.raises(ValidationError):
-        SubsetMask(0, frozenset())
+        PolynomialGame(SyntheticGame.additive([1.0]))
+    with pytest.raises(ValidationError):
+        PolynomialGame(SyntheticGame.additive([1.0] * 65))
+    assert PolynomialGame(SyntheticGame.additive([1.0] * 64)).n == 64
 
 
 def test_masking_replaces_absent_features():
     x = np.array([1.0, 2.0, 3.0, 4.0])
     b = Baseline(np.array([-1.0, -2.0, -3.0, -4.0]))
-    s = SubsetMask.of(4, [1, 2])
-    assert np.array_equal(make_masked_input(x, s, b), [-1.0, 2.0, 3.0, -4.0])
+    out = masked_matrix(x, [0b0110, 0b1111, 0b0000], b)
+    assert np.array_equal(out[0], [-1.0, 2.0, 3.0, -4.0])
     # full set is the identity, empty set is the baseline
-    assert np.array_equal(make_masked_input(x, SubsetMask.full(4), b), x)
-    assert np.array_equal(make_masked_input(x, SubsetMask.empty(4), b), b.values)
+    assert np.array_equal(out[1], x)
+    assert np.array_equal(out[2], b.values)
 
 
 def test_masked_matrix_stacks_rows():
     x = np.arange(3.0)
     b = Baseline.zeros(3)
-    subsets = [SubsetMask.empty(3), SubsetMask.of(3, [2]), SubsetMask.full(3)]
-    out = masked_matrix(x, subsets, b)
+    out = masked_matrix(x, [0b000, 0b100, 0b111], b)
     assert out.shape == (3, 3)
     assert np.array_equal(out[0], [0, 0, 0])
     assert np.array_equal(out[1], [0, 0, 2])
     assert np.array_equal(out[2], x)
 
 
+def test_masked_matrix_reaches_player_63():
+    x = np.arange(1.0, 65.0)
+    b = Baseline(-x)
+    out = masked_matrix(x, np.array([TOP, TOP | 1, 2**64 - 1], dtype=np.uint64), b)
+    assert np.array_equal(out[0], np.r_[-x[:63], x[63]])
+    assert np.array_equal(out[1], np.r_[x[0], -x[1:63], x[63]])
+    assert np.array_equal(out[2], x)
+
+
+def test_masked_matrix_takes_one_sample_per_mask():
+    X = np.array([[1.0, 2.0], [3.0, 4.0]])
+    out = masked_matrix(X, [0b01, 0b10], Baseline(np.array([-1.0, -2.0])))
+    assert np.array_equal(out, [[1.0, -2.0], [-1.0, 4.0]])
+    with pytest.raises(DimensionError):
+        masked_matrix(X, [0b01], Baseline.zeros(2))
+
+
 def test_masked_input_dimension_mismatch():
     with pytest.raises(DimensionError):
-        make_masked_input(np.ones(3), SubsetMask.full(4), Baseline.zeros(4))
+        masked_matrix(np.ones(3), [0b111], Baseline.zeros(4))
 
 
 def test_compute_baseline_is_column_means():
@@ -68,35 +75,31 @@ def test_compute_baseline_is_column_means():
     assert np.array_equal(compute_baseline(data).values, [2.0, 20.0])
 
 
-def test_enumerate_subsets_counts():
-    pool = SubsetMask.full(6)
-    assert sum(1 for _ in enumerate_subsets(pool, 3)) == 20
-    sizes = {len(s) for s in enumerate_subsets(pool, 3)}
-    assert sizes == {3}
-
-
 def test_sample_subset_is_within_pool_and_seeded():
-    pool = SubsetMask.of(8, [0, 2, 4, 6])
+    pool = 0b01010101
     a = sample_subset(pool, 2, make_rng(9))
     b = sample_subset(pool, 2, make_rng(9))
     assert a == b
-    assert set(a.sorted_members()) <= {0, 2, 4, 6}
+    assert a & ~pool == 0 and a.bit_count() == 2
     with pytest.raises(DomainError):
         sample_subset(pool, 5, make_rng(0))
 
 
+def test_sample_subset_permutes_sorted_members():
+    pool = TOP | 0b1010
+    picked = sample_subset(pool, 2, make_rng(4))
+    members = make_rng(4).permutation([1, 3, 63])[:2]
+    assert picked == sum(1 << int(k) for k in members)
+
+
 def test_additive_game_values():
     game = synthetic_game(SyntheticGame.additive([1.0, 2.0, 4.0]))
-    assert game.evaluate(SubsetMask.empty(3)) == 0.0
-    assert game.evaluate(SubsetMask.of(3, [0, 2])) == 5.0
-    assert game.evaluate(SubsetMask.full(3)) == 7.0
+    assert game.evaluate_many([0b000, 0b101, 0b111]).tolist() == [0.0, 5.0, 7.0]
 
 
 def test_conjunction_game_fires_only_on_full_coalition():
     game = synthetic_game(SyntheticGame.conjunction(4, [1, 3]))
-    assert game.evaluate(SubsetMask.of(4, [1])) == 0.0
-    assert game.evaluate(SubsetMask.of(4, [1, 3])) == 1.0
-    assert game.evaluate(SubsetMask.full(4)) == 1.0
+    assert game.evaluate_many([0b0010, 0b1010, 0b1111]).tolist() == [0.0, 1.0, 1.0]
 
 
 def test_random_polynomial_reproducible():
@@ -104,13 +107,26 @@ def test_random_polynomial_reproducible():
     b = SyntheticGame.random_polynomial(6, degree=3, num_terms=10, seed=5)
     assert a == b
     game = synthetic_game(a)
-    vals = game.evaluate_many(list(enumerate_subsets(SubsetMask.full(6), 3)))
+    size3 = [bits for bits in range(1 << 6) if bits.bit_count() == 3]
+    assert len(size3) == 20
+    vals = game.evaluate_many(size3)
     assert np.all(np.isfinite(vals))
 
 
 def test_evaluate_many_matches_evaluate():
+    # a batch of masks gives what each mask gives on its own
     game = synthetic_game(SyntheticGame.random_polynomial(7, 4, 12, seed=2))
-    subsets = [SubsetMask.of(7, [0]), SubsetMask.of(7, [1, 2, 5]), SubsetMask.full(7)]
-    many = game.evaluate_many(subsets)
-    singles = [game.evaluate(s) for s in subsets]
+    bits = [0b0000001, 0b0100110, 0b1111111]
+    many = game.evaluate_many(bits)
+    singles = [game.evaluate_many([b])[0] for b in bits]
     assert np.array_equal(many, singles)
+
+
+def test_evaluate_many_reaches_player_63():
+    spec = SyntheticGame(kind="random_polynomial", n=64,
+                         terms=((frozenset({63}), 2.0), (frozenset({0, 63}), 0.5)))
+    game = synthetic_game(spec)
+    bits = np.array([0, 1, TOP, TOP | 1, 2**64 - 1], dtype=np.uint64)
+    assert game.evaluate_many(bits).tolist() == [0.0, 0.0, 2.0, 2.5, 2.5]
+    with pytest.raises(OverflowError):
+        game.evaluate_many([2**64])

@@ -8,19 +8,16 @@ from interaction_lab import (
     Baseline,
     GuardError,
     LogOddsGame,
-    SubsetMask,
     SyntheticGame,
     ValidationError,
     default_order_grid,
     delta_v,
     efficiency_residual,
     efficiency_weight,
-    independent_effect,
     interaction_order_exact,
     interaction_order_mc,
     order_profile,
     order_strength,
-    pair_interaction,
     read_profile_csv,
     synthetic_game,
     write_profile_csv,
@@ -34,22 +31,21 @@ def poly_game():
 
 def test_delta_v_additive_game_is_zero():
     game = synthetic_game(SyntheticGame.additive([2.0, -1.0, 0.5, 3.0]))
-    for s in [SubsetMask.empty(4), SubsetMask.of(4, [2])]:
+    for s in [0b0000, 0b0100]:
         assert delta_v(game, 0, 1, s) == 0.0
 
 
 def test_delta_v_matches_inclusion_exclusion(poly_game):
-    S = SubsetMask.of(8, [2, 5])
-    both = poly_game.evaluate(S.add(0, 1))
-    left = poly_game.evaluate(S.add(0))
-    right = poly_game.evaluate(S.add(1))
-    base = poly_game.evaluate(S)
+    S = 0b00100100
+    both, left, right, base = poly_game.evaluate_many([S | 0b11, S | 0b01, S | 0b10, S])
     assert delta_v(poly_game, 0, 1, S) == pytest.approx((both + left * -1) - (right - base))
 
 
 def test_delta_v_rejects_overlapping_context(poly_game):
     with pytest.raises(ValidationError):
-        delta_v(poly_game, 0, 1, SubsetMask.of(8, [1, 4]))
+        delta_v(poly_game, 0, 1, 0b00010010)
+    with pytest.raises(ValidationError):
+        delta_v(poly_game, 0, 1, 1 << 8)
 
 
 def test_conjunction_interaction_ramp():
@@ -90,6 +86,14 @@ def test_mc_keeps_resampling_past_context_count(poly_game):
     assert abs(est.value - exact.value) <= 5 * est.std_error
 
 
+def test_mc_reaches_player_63():
+    # the pair (0, 63) is a conjunction: every context gives delta_v = 1
+    game = synthetic_game(SyntheticGame.conjunction(64, [0, 63]))
+    est = interaction_order_mc(game, 63, 0, 5, num_samples=4, seed=0)
+    assert est.value == 1.0 and est.std_error == 0.0
+    assert delta_v(game, 0, 63, 0b110) == 1.0
+
+
 def test_mc_single_sample_has_zero_std_error(poly_game):
     est = interaction_order_mc(poly_game, 0, 1, 3, num_samples=1, seed=4)
     assert est.std_error == 0.0
@@ -105,19 +109,6 @@ def test_interaction_order_guards():
         interaction_order_exact(game, 0, 0, 1)
     with pytest.raises(ValidationError):
         interaction_order_exact(game, 0, 1, 3)  # max order is n-2
-
-
-def test_independent_effect_additive():
-    game = synthetic_game(SyntheticGame.additive([2.0, -1.0, 0.5]))
-    assert independent_effect(game, 0) == pytest.approx(2.0)
-    assert independent_effect(game, 1) == pytest.approx(-1.0)
-
-
-def test_pair_interaction_is_scalar_mean(poly_game):
-    value = pair_interaction(poly_game, 2, 4, per_order_budget=20, seed=8)
-    assert isinstance(value, float)
-    exact = np.mean([interaction_order_exact(poly_game, 2, 4, m).value for m in range(7)])
-    assert value == pytest.approx(exact)  # budget 20 covers every order here
 
 
 def test_efficiency_weight_values():

@@ -6,11 +6,9 @@ import pytest
 
 from interaction_lab import (
     MLP,
-    Baseline,
     DimensionError,
     DomainError,
     SchemaError,
-    SubsetMask,
     ValidationError,
     accuracy,
     ce_value_and_grad,
@@ -21,7 +19,6 @@ from interaction_lab import (
     load_model,
     log_softmax,
     make_rng,
-    masked_forward,
     save_model,
     set_flat_params,
     softmax,
@@ -230,12 +227,3 @@ def test_load_rejects_bad_files(tmp_path):
     with pytest.raises(SchemaError):
         load_model(path)
 
-
-def test_masked_forward_substitutes_baseline():
-    model = MLP((3, 2), seed=3)
-    x = np.array([1.0, 2.0, 3.0])
-    base = Baseline(np.array([-1.0, -2.0, -3.0]))
-    S = SubsetMask.of(3, [1])
-    out = masked_forward(model, x, S, base)
-    manual = model.forward(np.array([[-1.0, 2.0, -3.0]]))[0]
-    assert np.array_equal(out, manual)

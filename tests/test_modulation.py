@@ -16,7 +16,6 @@ from interaction_lab import (
     combined_loss,
     combined_value_and_grad,
     delta_u,
-    delta_u_class,
     encourage_value_and_grad,
     flatten_grads,
     get_flat_params,
@@ -138,7 +137,8 @@ def test_delta_u_exact_ignores_seed_and_sampling_converges():
         delta_u(game, 0.25, 0.75, pair_samples=16, seed=3)
 
 
-def test_delta_u_class_constant_model():
+def test_band_losses_constant_model():
+    """A constant model gives delta = (1 - s2/s1) * bias for every class."""
     n = 6
     model = MLP((n, 2), seed=0)
     for w in model.weights:
@@ -146,25 +146,27 @@ def test_delta_u_class_constant_model():
     model.biases[-1][:] = (1.5, -2.0)
     base = Baseline.zeros(n)
     s1, s2 = band_sizes(n, 1 / 3, 5 / 6)
-    ratio = s2 / s1
-    for c, bias in ((0, 1.5), (1, -2.0)):
-        val = delta_u_class(model, np.ones(n), c, 1 / 3, 5 / 6, 4, 0, base)
-        assert val == pytest.approx((1.0 - ratio) * bias)
+    delta = (1.0 - s2 / s1) * np.array([1.5, -2.0])
+    probs = np.exp(delta) / np.exp(delta).sum()
+    X = np.ones((2, n))
+    assert loss_encourage(model, X, [0, 1], 1 / 3, 5 / 6, 4, 0, base) == \
+        pytest.approx(-np.log(probs).mean())
+    assert loss_suppress(model, X, [0, 1], 1 / 3, 5 / 6, 4, 0, base) == \
+        pytest.approx((probs * np.log(probs)).sum())
     with pytest.raises(DomainError):
-        delta_u_class(model, np.ones(n), 2, 1 / 3, 5 / 6, 4, 0, base)
+        loss_encourage(model, X, [0, 2], 1 / 3, 5 / 6, 4, 0, base)
 
 
-def test_delta_u_class_shares_pairs_across_classes():
+def test_band_losses_share_pairs_across_classes():
     """Duplicate output columns must yield identical per-class values."""
     n = 5
     model = MLP((n, 4, 2), seed=3)
     model.weights[-1][:, 1] = model.weights[-1][:, 0]
     model.biases[-1][1] = model.biases[-1][0]
     base = Baseline.zeros(n)
-    x = make_rng(4).normal(size=n)
-    a = delta_u_class(model, x, 0, 0.4, 0.8, 6, 17, base)
-    b = delta_u_class(model, x, 1, 0.4, 0.8, 6, 17, base)
-    assert a == b
+    X = make_rng(4).normal(size=(1, n))
+    # equal deltas make a uniform softmax, whose negative entropy is -ln 2
+    assert loss_suppress(model, X, [0], 0.4, 0.8, 6, 17, base) == math.log(0.5)
 
 
 def _fixture(n=6, classes=3, batch=4, seed=12):
