@@ -25,7 +25,6 @@ from .interactions import (
     InteractionEstimate,
     LogOddsGame,
     OrderProfile,
-    ValueCache,
     default_order_grid,
     delta_v,
     efficiency_residual,
@@ -33,7 +32,6 @@ from .interactions import (
     interaction_order_exact,
     interaction_order_mc,
     order_profile,
-    order_strength,
     read_profile_csv,
     write_profile_csv,
 )

@@ -5,7 +5,7 @@ Five subcommands: verify (self-check suites with hard thresholds), analyze
 and optional profile fit), train (SGD with optional banded loss terms), and
 attack (PGD robustness evaluation). Every output file embeds a sha256 over
 the fully resolved configuration plus the seed, and identical invocations
-produce byte-identical files.
+produce byte-identical files. Each command runs with one OpenBLAS thread.
 
 Errors leave on stderr as one machine-parsable line, `error: <kind>: <text>`,
 with the exit code encoding the kind: 1 for validation/schema problems, 2 for
@@ -29,6 +29,7 @@ from .interactions import (LogOddsGame, efficiency_residual, order_profile,
                            read_profile_csv, write_profile_csv)
 from .mlp import MLP, accuracy, load_model, save_model
 from .modulation import ModulationSpec, verify_theorem2
+from .parallel import one_blas_thread
 from .rng import child_seed
 from .theory import (GradSimConfig, fit_effective_n, learning_strength_hat,
                      simulate_curve, theory_curve, write_theory_csv)
@@ -383,7 +384,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with one_blas_thread():
+            return args.func(args)
     except ValidationError as exc:
         print(f"error: validation: {_one_line(exc)}", file=sys.stderr)
         return 1

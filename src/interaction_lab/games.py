@@ -85,17 +85,36 @@ def compute_baseline(dataset) -> Baseline:
     return Baseline(data.mean(axis=0))
 
 
+def _members(pool: int) -> np.ndarray:
+    """The pool's player bits in ascending order."""
+    return _PLAYER_BITS[(np.uint64(pool) & _PLAYER_BITS) != 0]
+
+
 def sample_subset(pool: int, m: int, rng: np.random.Generator) -> int:
     """One uniform size-m sub-mask of the pool mask; identical stream -> identical subset.
 
     The draw is rng.permutation over the pool's players in ascending order,
     keeping the first m.
     """
-    members = _PLAYER_BITS[(np.uint64(pool) & _PLAYER_BITS) != 0]
+    members = _members(pool)
     if not (0 <= m <= len(members)):
         raise DomainError(f"subset size {m} outside [0, {len(members)}]")
     # permuting the players' bits permutes them exactly as their indices
     return int(rng.permutation(members)[:m].sum())
+
+
+def sample_subsets(pool: int, m: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count draws of sample_subset as one uint64 array, from the same stream.
+
+    rng.permuted shuffles row by row with the same draws as one
+    rng.permutation per row, so the masks and the generator's end state equal
+    those of count sample_subset calls.
+    """
+    members = _members(pool)
+    if not (0 <= m <= len(members)):
+        raise DomainError(f"subset size {m} outside [0, {len(members)}]")
+    rows = np.broadcast_to(members, (count, len(members)))
+    return rng.permuted(rows, axis=1)[:, :m].sum(axis=1, dtype=np.uint64)
 
 
 class ValueFunction(ABC):
@@ -120,18 +139,22 @@ class SyntheticGame:
 
     kind "additive" holds one degree-1 term per player, "conjunction" a single
     unit term on the required coalition, "random_polynomial" a seeded list of
-    distinct-coalition terms with degree <= degree.
+    distinct-coalition terms with degree <= degree. Each term's coalition is
+    held as a sorted tuple of player indices; any iterable of indices (a
+    frozenset, say) is accepted and normalized.
     """
 
     kind: str
     n: int
-    terms: tuple[tuple[frozenset[int], float], ...]
+    terms: tuple[tuple[tuple[int, ...], float], ...]
     seed: int | None = None
     degree: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("additive", "conjunction", "random_polynomial"):
             raise ValidationError(f"unknown game kind {self.kind!r}")
+        self.terms = tuple((tuple(sorted({int(k) for k in coalition})), coeff)
+                           for coalition, coeff in self.terms)
         seen = set()
         for coalition, coeff in self.terms:
             if coalition in seen:
@@ -146,12 +169,12 @@ class SyntheticGame:
     @classmethod
     def additive(cls, coefficients: Sequence[float]) -> "SyntheticGame":
         coeffs = [float(a) for a in coefficients]
-        terms = tuple((frozenset({k}), a) for k, a in enumerate(coeffs))
+        terms = tuple(((k,), a) for k, a in enumerate(coeffs))
         return cls(kind="additive", n=len(coeffs), terms=terms)
 
     @classmethod
     def conjunction(cls, n: int, coalition: Sequence[int]) -> "SyntheticGame":
-        return cls(kind="conjunction", n=n, terms=((frozenset(int(k) for k in coalition), 1.0),))
+        return cls(kind="conjunction", n=n, terms=((tuple(coalition), 1.0),))
 
     @classmethod
     def random_polynomial(cls, n: int, degree: int, num_terms: int, seed: int) -> "SyntheticGame":
@@ -161,9 +184,9 @@ class SyntheticGame:
         if not (1 <= degree <= n):
             raise ValidationError(f"degree must be in [1, {n}]")
         rng = make_rng(seed)
-        pool: list[frozenset[int]] = [frozenset()]
+        pool: list[tuple[int, ...]] = [()]
         for d in range(1, degree + 1):
-            pool.extend(frozenset(c) for c in itertools.combinations(range(n), d))
+            pool.extend(itertools.combinations(range(n), d))
         if num_terms > len(pool):
             raise ValidationError(f"at most {len(pool)} distinct coalitions exist")
         chosen = rng.permutation(len(pool))[:num_terms]

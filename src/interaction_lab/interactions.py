@@ -19,22 +19,24 @@ pair, so estimates for (i, j) and (j, i) are equal bit for bit.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DimensionError, DomainError, GuardError, SchemaError, ValidationError
 from .games import (Baseline, ValueFunction, as_masks, check_player_count, masked_matrix,
-                    sample_subset)
+                    sample_subsets)
 from .rng import child_seed, make_rng
 from .textio import format_float, read_csv, write_csv
 
 MAX_EXACT_PLAYERS = 20
 MAX_EFFICIENCY_PLAYERS = 12
+MAX_TABLE_PLAYERS = 16
+TABLE_CHUNK = 128  # masks per evaluate_many call when building a value table
 
 # Stream ids reserved so derived streams can never collide with the per-pair
 # context streams, whose first path component is a player index.
@@ -97,39 +99,29 @@ class EfficiencyReport:
     relative_residual: float
 
 
-class ValueCache:
-    """Memoizes coalition values for one (game, sample) pair, keyed by bitmask.
+def evaluate(game: ValueFunction, bits, x=None) -> np.ndarray:
+    """game.evaluate_many(bits, x) as a float array, checked to hold one value per mask."""
+    out = np.asarray(game.evaluate_many(bits, x=x), dtype=float)
+    if out.shape != (len(bits),):
+        raise DimensionError(f"evaluate_many returned shape {out.shape} for {len(bits)} masks")
+    return out
 
-    Unknown masks are evaluated in one evaluate_many batch, so model-backed
-    games see a single stacked forward pass instead of per-subset calls. A
-    cache is meant for one thread. Model-backed values depend on which masks
-    share a batch, but only at the level of rounding, so a fixed call order
-    gives bit-identical values.
+
+def value_table(game: ValueFunction, x=None) -> np.ndarray:
+    """v(S | x) for every mask S, indexed by the mask; needs n <= MAX_TABLE_PLAYERS.
+
+    Masks are evaluated in ascending order, TABLE_CHUNK at a time, so every
+    value comes from the same batch on every run, memory stays bounded at
+    n = 16, and each chunk's matmuls stay small.
     """
-
-    def __init__(self, game: ValueFunction, x=None):
-        self.game = game
-        self.x = x
-        self._known: dict[int, float] = {}
-
-    def __len__(self) -> int:
-        return len(self._known)
-
-    def values(self, bits) -> np.ndarray:
-        keys = np.asarray(bits, dtype=np.uint64).tolist()
-        # unknown masks in order of first appearance
-        fresh = list(dict.fromkeys(b for b in keys if b not in self._known))
-        if fresh:
-            out = np.asarray(self.game.evaluate_many(np.array(fresh, dtype=np.uint64),
-                                                     x=self.x), dtype=float)
-            if out.shape != (len(fresh),):
-                raise DimensionError(
-                    f"evaluate_many returned shape {out.shape} for {len(fresh)} masks")
-            self._known.update(zip(fresh, out.tolist()))
-        return np.array([self._known[b] for b in keys], dtype=float)
-
-    def value(self, bits: int) -> float:
-        return float(self.values([bits])[0])
+    n = game.n
+    if n > MAX_TABLE_PLAYERS:
+        raise GuardError(f"value tables are limited to n <= {MAX_TABLE_PLAYERS}, got n={n}")
+    table = np.empty(1 << n)
+    for start in range(0, 1 << n, TABLE_CHUNK):
+        bits = np.arange(start, min(start + TABLE_CHUNK, 1 << n), dtype=np.uint64)
+        table[start:start + len(bits)] = evaluate(game, bits, x)
+    return table
 
 
 def _check_pair(n: int, i: int, j: int) -> tuple[int, int]:
@@ -146,27 +138,78 @@ def _check_order(n: int, m: int) -> None:
         raise DomainError(f"context size {m} outside [0, {n - 2}] for n={n}")
 
 
-def _deltas(cache: ValueCache, base_bits: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def _corners(base_bits: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Each context with both players, with neither, with lo only, with hi only, stacked."""
     blo, bhi = np.uint64(1 << lo), np.uint64(1 << hi)
-    stacked = np.concatenate([base_bits | blo | bhi, base_bits, base_bits | blo, base_bits | bhi])
-    vals = cache.values(stacked).reshape(4, -1)
+    return np.concatenate([base_bits | blo | bhi, base_bits, base_bits | blo, base_bits | bhi])
+
+
+def _deltas(corner_values: np.ndarray) -> np.ndarray:
+    vals = corner_values.reshape(4, -1)
     return (vals[0] + vals[1]) - (vals[2] + vals[3])
 
 
-def delta_v(game: ValueFunction, i: int, j: int, S: int,
-            x=None, cache: ValueCache | None = None) -> float:
+@functools.lru_cache(maxsize=None)
+def _context_orders(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Size of each of a pair's 2^(n-2) contexts in ascending mask order, and C(n-2, m) per m."""
+    order = np.zeros(1, dtype=np.int64)
+    for _ in range(n - 2):
+        order = np.concatenate([order, order + 1])
+    counts = np.array([comb(n - 2, m) for m in range(n - 1)], dtype=float)
+    order.setflags(write=False)
+    counts.setflags(write=False)
+    return order, counts
+
+
+def pair_order_means(table: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
+    """Exact I_m(i, j) for every order m = 0..n-2, read from a value table.
+
+    The table is viewed as a 2 x ... x 2 cube (axis a holds player n - 1 - a).
+    Fixing the pair's two axes leaves its contexts in ascending mask order,
+    so one popcount bincount gives every order's mean.
+    """
+    lo, hi = _check_pair(n, i, j)
+    cube = table.reshape((2,) * n)
+
+    def corner(with_lo: int, with_hi: int) -> np.ndarray:
+        index = [slice(None)] * n
+        index[n - 1 - lo] = with_lo
+        index[n - 1 - hi] = with_hi
+        return cube[tuple(index)].ravel()
+
+    deltas = (corner(1, 1) + corner(0, 0)) - (corner(1, 0) + corner(0, 1))
+    order, counts = _context_orders(n)
+    return np.bincount(order, weights=deltas, minlength=n - 1) / counts
+
+
+def enumerated_contexts(n: int, i: int, j: int, m: int) -> np.ndarray:
+    """Every size-m context of the pair as uint64 masks, in itertools.combinations order."""
+    lo, hi = _check_pair(n, i, j)
+    pool = [k for k in range(n) if k != lo and k != hi]
+    return np.array([sum(1 << k for k in combo) for combo in itertools.combinations(pool, m)],
+                    dtype=np.uint64)
+
+
+def table_mean(table: np.ndarray, lo: int, hi: int, contexts: np.ndarray) -> float:
+    """Mean delta_v of the pair over the context masks, read from a value table."""
+    return float(_deltas(table[_corners(contexts, lo, hi)]).mean())
+
+
+def delta_v(game: ValueFunction, i: int, j: int, S: int, x=None) -> float:
     """Second-order difference of v at the context mask S; S must exclude both players."""
     lo, hi = _check_pair(game.n, i, j)
     context = as_masks([S], game.n)
     if context[0] & np.uint64((1 << lo) | (1 << hi)):
         raise DomainError("context must not contain either player of the pair")
-    cache = cache if cache is not None else ValueCache(game, x)
-    return float(_deltas(cache, context, lo, hi)[0])
+    return float(_deltas(evaluate(game, _corners(context, lo, hi), x))[0])
 
 
 def interaction_order_exact(game: ValueFunction, i: int, j: int, m: int,
-                            x=None, cache: ValueCache | None = None) -> InteractionEstimate:
-    """Average delta_v over every size-m context; needs n <= MAX_EXACT_PLAYERS."""
+                            x=None) -> InteractionEstimate:
+    """Average delta_v over every size-m context; needs n <= MAX_EXACT_PLAYERS.
+
+    The 4 C(n-2, m) coalitions are evaluated in one batch.
+    """
     n = game.n
     lo, hi = _check_pair(n, i, j)
     _check_order(n, m)
@@ -174,44 +217,40 @@ def interaction_order_exact(game: ValueFunction, i: int, j: int, m: int,
         raise GuardError(
             f"exact enumeration is limited to n <= {MAX_EXACT_PLAYERS}, got n={n}; "
             "use the Monte Carlo path")
-    cache = cache if cache is not None else ValueCache(game, x)
-    pool = [k for k in range(n) if k != lo and k != hi]
-    base_bits = np.array(
-        [sum(1 << k for k in combo) for combo in itertools.combinations(pool, m)],
-        dtype=np.uint64)
-    deltas = _deltas(cache, base_bits, lo, hi)
+    base_bits = enumerated_contexts(n, lo, hi, m)
+    deltas = _deltas(evaluate(game, _corners(base_bits, lo, hi), x))
     return InteractionEstimate(value=float(deltas.mean()), std_error=0.0,
                                samples_used=len(base_bits), exact=True)
 
 
+def _contexts(n: int, lo: int, hi: int, m: int, num_samples: int, seed: int) -> np.ndarray:
+    """num_samples uniform size-m contexts of the pair, from the pair's own stream."""
+    pool = ((1 << n) - 1) & ~((1 << lo) | (1 << hi))
+    return sample_subsets(pool, m, num_samples, make_rng(seed, lo, hi, m))
+
+
 def interaction_order_mc(game: ValueFunction, i: int, j: int, m: int,
-                         num_samples: int, seed: int,
-                         x=None, cache: ValueCache | None = None) -> InteractionEstimate:
+                         num_samples: int, seed: int, x=None) -> InteractionEstimate:
     """Monte Carlo counterpart of interaction_order_exact.
 
     Contexts are drawn uniformly with replacement from the size-m subsets of
-    the remaining players. When the budget equals the context count exactly
-    (and n permits enumeration) the estimator enumerates instead, reported
-    with exact=True and zero standard error; any other budget keeps drawing
-    with replacement so std_error stays an honest dispersion measure even
-    past the context count. std_error is the sample standard deviation
-    (ddof=1) over sqrt(num_samples); a single draw cannot estimate it and
-    reports 0.
+    the remaining players, and their coalitions are evaluated in one batch.
+    When the budget equals the context count exactly (and n permits
+    enumeration) the estimator enumerates instead, reported with exact=True
+    and zero standard error; any other budget keeps drawing with replacement
+    so std_error stays an honest dispersion measure even past the context
+    count. std_error is the sample standard deviation (ddof=1) over
+    sqrt(num_samples); a single draw cannot estimate it and reports 0.
     """
     n = game.n
     lo, hi = _check_pair(n, i, j)
     _check_order(n, m)
     if num_samples < 1:
         raise DomainError(f"num_samples must be positive, got {num_samples}")
-    total = comb(n - 2, m)
-    if n <= MAX_EXACT_PLAYERS and num_samples == total:
-        return interaction_order_exact(game, i, j, m, x=x, cache=cache)
-    cache = cache if cache is not None else ValueCache(game, x)
-    pool = ((1 << n) - 1) & ~((1 << lo) | (1 << hi))
-    rng = make_rng(seed, lo, hi, m)
-    base_bits = np.array([sample_subset(pool, m, rng) for _ in range(num_samples)],
-                         dtype=np.uint64)
-    deltas = _deltas(cache, base_bits, lo, hi)
+    if n <= MAX_EXACT_PLAYERS and num_samples == comb(n - 2, m):
+        return interaction_order_exact(game, i, j, m, x=x)
+    contexts = _contexts(n, lo, hi, m, num_samples, seed)
+    deltas = _deltas(evaluate(game, _corners(contexts, lo, hi), x))
     se = float(np.std(deltas, ddof=1) / np.sqrt(num_samples)) if num_samples > 1 else 0.0
     return InteractionEstimate(value=float(deltas.mean()), std_error=se,
                                samples_used=num_samples, exact=False)
@@ -219,7 +258,7 @@ def interaction_order_mc(game: ValueFunction, i: int, j: int, m: int,
 
 def _capped_budget(n: int, m: int, budget: int) -> int:
     # cap only where enumeration is allowed to take over
-    if budget >= 1 and n <= MAX_EXACT_PLAYERS:
+    if n <= MAX_EXACT_PLAYERS:
         return min(budget, comb(n - 2, m))
     return budget
 
@@ -235,26 +274,31 @@ def _pair_grid(n: int, pair_budget: int, seed: int, m: int) -> list[tuple[int, i
     return [pairs[int(k)] for k in sorted(idx)]
 
 
-def order_strength(game: ValueFunction, m: int, pair_budget: int,
-                   subset_budget: int, seed: int,
-                   x=None, cache: ValueCache | None = None) -> float:
-    """Mean |I_m(i, j)| over unordered pairs.
+def _table_estimator(table: np.ndarray, n: int, seed: int):
+    """I_m(lo, hi) with a capped budget, read from one sample's value table.
 
-    Pairs are sampled without replacement when pair_budget is below the full
-    pair count, and fully covered otherwise. The subset budget is capped at
-    the context count, so covered orders are enumerated exactly. Pairs are
-    evaluated one after another in fixed pair order, so the cache sees the
-    same batches, and the result is the same bits, on every run.
+    Enumerated orders take the pair's exact per-order means (one bincount
+    per pair, shared by all its orders); sampled orders index the table with
+    the contexts interaction_order_mc would draw.
     """
-    n = game.n
-    _check_order(n, m)
-    cache = cache if cache is not None else ValueCache(game, x)
-    pairs = _pair_grid(n, pair_budget, seed, m)
-    budget = _capped_budget(n, m, subset_budget)
+    exact_means: dict[tuple[int, int], np.ndarray] = {}
 
-    return float(np.mean([abs(interaction_order_mc(game, i, j, m, budget, seed,
-                                                   x=x, cache=cache).value)
-                          for i, j in pairs]))
+    def estimate(lo: int, hi: int, m: int, budget: int) -> float:
+        if budget == comb(n - 2, m):
+            if (lo, hi) not in exact_means:
+                exact_means[lo, hi] = pair_order_means(table, n, lo, hi)
+            return float(exact_means[lo, hi][m])
+        return table_mean(table, lo, hi, _contexts(n, lo, hi, m, budget, seed))
+
+    return estimate
+
+
+def _batch_estimator(game: ValueFunction, sample, seed: int):
+    """I_m(lo, hi) from one evaluate_many batch per (pair, order)."""
+    def estimate(lo: int, hi: int, m: int, budget: int) -> float:
+        return interaction_order_mc(game, lo, hi, m, budget, seed, x=sample).value
+
+    return estimate
 
 
 def default_order_grid(n: int) -> tuple[int, ...]:
@@ -273,11 +317,18 @@ def order_profile(game: ValueFunction, samples: Sequence,
                   pair_budget: int, subset_budget: int, seed: int) -> OrderProfile:
     """Strength per order, averaged over the given samples, normalized to mean one.
 
+    The strength of order m is the mean |I_m(i, j)| over unordered pairs.
+    Pairs are sampled without replacement when pair_budget is below the full
+    pair count, and fully covered otherwise. The subset budget is capped at
+    the context count, so covered orders are enumerated exactly.
+
     samples is a non-empty sequence of opaque per-sample inputs handed to the
     game's evaluate_many (closed-form games take [None]; model-backed games take
-    (features, target) pairs). Each sample runs under its own derived seed
-    and its own value cache. The normalization denominator is the mean over
-    the declared grid only.
+    (features, target) pairs). Each sample runs under its own derived seed and
+    has one evaluation path: for n <= MAX_TABLE_PLAYERS its value table, read by
+    every pair and order; beyond that one batch per (pair, order), in fixed
+    pair order. The normalization denominator is the mean over the declared
+    grid only.
     """
     n = game.n
     if len(samples) == 0:
@@ -290,14 +341,20 @@ def order_profile(game: ValueFunction, samples: Sequence,
             raise DomainError("order grid must be strictly increasing")
     for m in grid:
         _check_order(n, m)
+    if subset_budget < 1:
+        raise DomainError(f"subset_budget must be positive, got {subset_budget}")
 
     per_sample = np.empty((len(samples), len(grid)))
     for t, sample in enumerate(samples):
-        cache = ValueCache(game, sample)
         sample_seed = child_seed(seed, _SAMPLE_STREAM, t)
+        if n <= MAX_TABLE_PLAYERS:
+            estimate = _table_estimator(value_table(game, sample), n, sample_seed)
+        else:
+            estimate = _batch_estimator(game, sample, sample_seed)
         for col, m in enumerate(grid):
-            per_sample[t, col] = order_strength(game, m, pair_budget, subset_budget,
-                                                sample_seed, x=sample, cache=cache)
+            budget = _capped_budget(n, m, subset_budget)
+            pairs = _pair_grid(n, pair_budget, sample_seed, m)
+            per_sample[t, col] = np.mean([abs(estimate(i, j, m, budget)) for i, j in pairs])
     strengths = per_sample.mean(axis=0)
     mean = float(strengths.mean())
     if np.isfinite(mean) and mean > 0:
@@ -333,25 +390,16 @@ def efficiency_residual(game: ValueFunction, x=None) -> EfficiencyReport:
     if n > MAX_EFFICIENCY_PLAYERS:
         raise GuardError(
             f"efficiency check is limited to n <= {MAX_EFFICIENCY_PLAYERS}, got n={n}")
-    cache = ValueCache(game, x)
-    all_bits = np.arange(1 << n, dtype=np.uint64)
-    table = cache.values(all_bits)
-    popcount = np.array([int(b).bit_count() for b in range(1 << n)], dtype=np.int64)
-
+    table = value_table(game, x)
     lhs = float(table[(1 << n) - 1])
     v_empty = float(table[0])
     independent = float(sum(table[1 << i] - v_empty for i in range(n)))
 
     weights = np.array([efficiency_weight(n, m) for m in range(n - 1)])
-    counts = np.array([comb(n - 2, m) for m in range(n - 1)], dtype=float)
     per_order = np.zeros(n - 1)
     for lo, hi in itertools.combinations(range(n), 2):
-        blo, bhi = np.uint64(1 << lo), np.uint64(1 << hi)
-        sub = all_bits[(all_bits & (blo | bhi)) == 0]
-        deltas = (table[sub | blo | bhi] + table[sub]) - (table[sub | blo] + table[sub | bhi])
-        sums = np.bincount(popcount[sub], weights=deltas, minlength=n - 1)
         # ordered pairs: (i, j) and (j, i) contribute the same interaction
-        per_order += 2.0 * weights * (sums / counts)
+        per_order += 2.0 * weights * pair_order_means(table, n, lo, hi)
 
     reconstruction = v_empty + independent + float(per_order.sum())
     residual = abs(lhs - reconstruction)
@@ -409,7 +457,11 @@ class LogOddsGame(ValueFunction):
             raise DomainError(f"target class {target} outside [0, {logits.shape[1]})")
         z_target = logits[:, target]
         others = np.delete(logits, target, axis=1)
-        return z_target - logsumexp(others, axis=1)
+        # logsumexp over the other classes, shifted by their maximum; numpy
+        # directly, as scipy.special.logsumexp's dispatch costs more than the
+        # forward pass of a 128-row table chunk
+        top = others.max(axis=1)
+        return z_target - (top + np.log(np.exp(others - top[:, None]).sum(axis=1)))
 
 
 def write_profile_csv(path, profile: OrderProfile, meta=None) -> None:

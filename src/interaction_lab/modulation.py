@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import floor
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +32,7 @@ from scipy.special import xlogy
 
 from .errors import DomainError, GuardError, NumericError, ValidationError
 from .games import Baseline, ValueFunction, masked_matrix, sample_subset
-from .interactions import ValueCache, interaction_order_exact
+from .interactions import enumerated_contexts, evaluate, table_mean, value_table
 from .mlp import MLP, ParamGrads, ce_value_and_grad, cross_entropy, cross_entropy_grad, softmax
 from .rng import child_seed, make_rng
 
@@ -88,6 +89,9 @@ class ModulationSpec:
                 f"fractions must satisfy 0 <= r1 < r2 <= 1, got ({self.r1}, {self.r2})")
         if not (np.isfinite(self.lam) and self.lam >= 0):
             raise ValidationError(f"lambda must be finite and >= 0, got {self.lam}")
+        # bool is an Integral too, but a flag is never a count
+        if isinstance(self.pair_samples, bool) or not isinstance(self.pair_samples, Integral):
+            raise ValidationError(f"pair_samples must be an integer, got {self.pair_samples!r}")
         if self.pair_samples < 1:
             raise ValidationError(f"pair_samples must be positive, got {self.pair_samples}")
 
@@ -111,11 +115,10 @@ class ModulationSpec:
                 raise ValidationError(f"modulation term is missing {key!r}")
         try:
             r1, r2, lam = float(obj["r1"]), float(obj["r2"]), float(obj["lambda"])
-            pair_samples = int(obj.get("pair_samples", 4))
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"modulation term has a non-numeric field: {exc}") from None
-        return cls(kind=obj["kind"], r1=r1, r2=r2, lam=lam, pair_samples=pair_samples,
-                   seed=obj.get("seed"))
+        return cls(kind=obj["kind"], r1=r1, r2=r2, lam=lam,
+                   pair_samples=obj.get("pair_samples", 4), seed=obj.get("seed"))
 
 
 @dataclass(frozen=True)
@@ -184,31 +187,33 @@ def _enumerate_pairs(n: int, s1: int, s2: int) -> np.ndarray:
     return np.array(pairs, dtype=np.uint64).T
 
 
+def _exact_delta_u(table: np.ndarray, n: int, s1: int, s2: int) -> float:
+    inner, outer = table[_enumerate_pairs(n, s1, s2)]
+    return float(np.mean(outer - _effective_ratio(s1, s2) * inner))
+
+
 def delta_u(game: ValueFunction, r1: float, r2: float, pair_samples: int, seed: int,
-            x=None, exact: bool = False, cache: ValueCache | None = None) -> float:
+            x=None, exact: bool = False) -> float:
     """Band-selective output difference E[v(S2) - (s2/s1) v(S1)].
 
-    exact mode enumerates every nested pair (guarded to n <= 14) and ignores
-    pair_samples and seed; otherwise pair_samples pairs are drawn from the
-    stream of the given seed. At r1 = 0: E[v(S2)] - v(empty).
+    exact mode enumerates every nested pair over the game's value table
+    (guarded to n <= 14) and ignores pair_samples and seed; otherwise
+    pair_samples pairs are drawn from the stream of the given seed and
+    evaluated in one batch. At r1 = 0: E[v(S2)] - v(empty).
     """
     n = game.n
     s1, s2 = band_sizes(n, r1, r2)
-    ratio = _effective_ratio(s1, s2)
-    cache = cache if cache is not None else ValueCache(game, x)
     if exact:
         if n > MAX_EXACT_DELTA_U_PLAYERS:
             raise GuardError(
                 f"exact pair enumeration is limited to n <= {MAX_EXACT_DELTA_U_PLAYERS}, "
                 f"got n={n}")
-        pairs = _enumerate_pairs(n, s1, s2)
-    else:
-        if pair_samples < 1:
-            raise DomainError(f"pair_samples must be positive, got {pair_samples}")
-        pairs = _sample_pairs(n, s1, s2, pair_samples, make_rng(seed))
-    inner_vals = cache.values(pairs[0])
-    outer_vals = cache.values(pairs[1])
-    return float(np.mean(outer_vals - ratio * inner_vals))
+        return _exact_delta_u(value_table(game, x), n, s1, s2)
+    if pair_samples < 1:
+        raise DomainError(f"pair_samples must be positive, got {pair_samples}")
+    pairs = _sample_pairs(n, s1, s2, pair_samples, make_rng(seed))
+    inner, outer = evaluate(game, pairs.reshape(-1), x).reshape(2, -1)
+    return float(np.mean(outer - _effective_ratio(s1, s2) * inner))
 
 
 def _band_delta_logits(model: MLP, X: np.ndarray, baseline: Baseline,
@@ -344,7 +349,8 @@ def verify_theorem2(n: int, r1: float, r2: float, num_games: int, seed: int) -> 
     The reconstruction is (1 - s2/s1) v(empty) plus the weighted ordered-pair
     sum of exact per-order interactions, with weights from theorem2_weight.
     The pair sum must run over ordered pairs: collapsing to unordered pairs
-    halves the interaction mass and leaves O(1) residuals.
+    halves the interaction mass and leaves O(1) residuals. Each game's value
+    table is evaluated once and read by both sides.
     """
     if n > MAX_VERIFY_PLAYERS:
         raise GuardError(f"verification is limited to n <= {MAX_VERIFY_PLAYERS}, got n={n}")
@@ -361,16 +367,15 @@ def verify_theorem2(n: int, r1: float, r2: float, num_games: int, seed: int) -> 
     for g in range(num_games):
         spec = SyntheticGame.random_polynomial(
             n, degree=n, num_terms=2 * n + 5, seed=child_seed(seed, g))
-        game = synthetic_game(spec)
-        cache = ValueCache(game)
-        measured = delta_u(game, r1, r2, pair_samples=1, seed=0, exact=True, cache=cache)
-        recon = (1.0 - ratio) * cache.value(0)
+        table = value_table(synthetic_game(spec))
+        measured = _exact_delta_u(table, n, s1, s2)
+        recon = (1.0 - ratio) * float(table[0])
         for m in range(n - 1):
             if weights[m] == 0.0:
                 continue
             pair_sum = 0.0
             for i, j in itertools.combinations(range(n), 2):
-                pair_sum += 2.0 * interaction_order_exact(game, i, j, m, cache=cache).value
+                pair_sum += 2.0 * table_mean(table, i, j, enumerated_contexts(n, i, j, m))
             recon += weights[m] * pair_sum
         worst = max(worst, abs(measured - recon))
     return worst

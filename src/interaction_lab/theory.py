@@ -123,9 +123,11 @@ def predicted_update_norm(n: int, m: int, k: int, sigma: float) -> float:
     (n - m - 1) / (n (n - 1)) yields a gaussian whose mean norm follows from
     mean_norm_gaussian exactly.
     """
+    if n > MAX_CURVE_PLAYERS:
+        raise GuardError(f"the curve is limited to n <= {MAX_CURVE_PLAYERS}, got n={n}")
     u = contextual_variability(n, m)
     coeff = (n - m - 1) / (n * (n - 1))
-    return float(coeff * mean_norm_gaussian(k, sigma / np.sqrt(u)))
+    return float(coeff * mean_norm_gaussian(k, sigma / sqrt(u)))
 
 
 def simulate_learning_strength(cfg: GradSimConfig, m: int) -> float:

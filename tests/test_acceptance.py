@@ -22,7 +22,6 @@ from interaction_lab import (
     GradSimConfig,
     ModulationSpec,
     SyntheticGame,
-    ValueCache,
     argmin_order,
     ce_value_and_grad,
     combined_loss,
@@ -155,12 +154,10 @@ def test_05_sampled_estimates_track_enumeration():
         game = synthetic_game(
             SyntheticGame.random_polynomial(n, n, 2 * n + 5, seed=trial_seed))
         i, j = map(int, rng.choice(n, size=2, replace=False))
-        cache = ValueCache(game, None)
         ok = True
         for m in (2, 5, 8):
-            exact = interaction_order_exact(game, i, j, m, cache=cache)
-            est = interaction_order_mc(game, i, j, m, 2000, seed=trial_seed,
-                                       cache=cache)
+            exact = interaction_order_exact(game, i, j, m)
+            est = interaction_order_mc(game, i, j, m, 2000, seed=trial_seed)
             assert not est.exact and est.samples_used == 2000
             if est.std_error > 0.0:
                 statistical_cells += 1

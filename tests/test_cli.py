@@ -262,6 +262,8 @@ def _saved(command, *flags):
     pytest.param(_train({"hidden_sizes": 5}), id="scalar-hidden-sizes"),
     pytest.param(_train({"terms": [{"kind": "suppress", "r1": "x", "r2": 1.0,
                                     "lambda": 1.0}]}), id="non-numeric-term"),
+    pytest.param(_train({"terms": [{"kind": "suppress", "r1": 0.7, "r2": 1.0, "lambda": 1.0,
+                                    "pair_samples": 2.5}]}), id="fractional-pair-samples"),
     pytest.param(lambda w, t: ["theory", "--n", "100000", "--out", str(t / "curve.csv")],
                  id="huge-theory-n"),
     pytest.param(_saved("analyze"), id="analyze-out-in-missing-dir"),
@@ -274,3 +276,29 @@ def test_malformed_input_is_one_error_line(argv, workdir, tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("error: validation: ")
+
+
+def test_commands_run_on_one_blas_thread_and_restore_the_count(tmp_path, monkeypatch):
+    from interaction_lab import cli
+    from interaction_lab.parallel import _openblas
+
+    blas = _openblas()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS is not available")
+    get, put = blas
+    seen = []
+    real_curve = cli.theory_curve
+
+    def recording_curve(n):
+        seen.append(get())
+        return real_curve(n)
+
+    monkeypatch.setattr(cli, "theory_curve", recording_curve)
+    previous = get()
+    put(2)
+    try:
+        assert main(["theory", "--n", "6", "--out", str(tmp_path / "curve.csv")]) == 0
+        assert main(["theory", "--n", "100000", "--out", str(tmp_path / "curve.csv")]) == 1
+        assert seen == [1, 1] and get() == 2
+    finally:
+        put(previous)

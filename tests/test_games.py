@@ -14,6 +14,7 @@ from interaction_lab import (
     sample_subset,
     synthetic_game,
 )
+from interaction_lab.games import sample_subsets
 
 TOP = 1 << 63  # player 63, the highest a uint64 mask holds
 
@@ -90,6 +91,30 @@ def test_sample_subset_permutes_sorted_members():
     picked = sample_subset(pool, 2, make_rng(4))
     members = make_rng(4).permutation([1, 3, 63])[:2]
     assert picked == sum(1 << int(k) for k in members)
+
+
+@pytest.mark.parametrize("n", [3, 12, 20, 64])
+def test_sample_subsets_equals_sample_subset_loop(n):
+    # pins numpy's row order in Generator.permuted: a numpy that changes it fails here
+    pool = ((1 << n) - 1) & ~0b10
+    for m in range(n):
+        batched_rng, loop_rng = make_rng(n, m), make_rng(n, m)
+        batched = sample_subsets(pool, m, 17, batched_rng)
+        loop = [sample_subset(pool, m, loop_rng) for _ in range(17)]
+        assert batched.dtype == np.uint64 and batched.tolist() == loop
+        assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
+    with pytest.raises(DomainError):
+        sample_subsets(pool, n, 3, make_rng(0))
+
+
+def test_terms_are_sorted_index_tuples():
+    spec = SyntheticGame(kind="random_polynomial", n=5,
+                         terms=((frozenset({3, 1}), 1.0), ([4, 0, 4], 2.0), ((), 0.5)))
+    assert spec.terms == (((1, 3), 1.0), ((0, 4), 2.0), ((), 0.5))
+    drawn = SyntheticGame.random_polynomial(6, degree=3, num_terms=10, seed=5)
+    assert all(list(c) == sorted(set(c)) for c, _ in drawn.terms)
+    with pytest.raises(ValidationError):
+        SyntheticGame(kind="random_polynomial", n=4, terms=(((0, 1), 1.0), ((1, 0), 2.0)))
 
 
 def test_additive_game_values():

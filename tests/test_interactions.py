@@ -17,7 +17,6 @@ from interaction_lab import (
     interaction_order_exact,
     interaction_order_mc,
     order_profile,
-    order_strength,
     read_profile_csv,
     synthetic_game,
     write_profile_csv,
@@ -131,9 +130,10 @@ def test_efficiency_guard():
         efficiency_residual(game)
 
 
-def test_order_strength_additive_is_zero():
+def test_single_order_profile_additive_is_zero():
     game = synthetic_game(SyntheticGame.additive([1.0, 2.0, 3.0, 4.0, 5.0]))
-    assert order_strength(game, 1, pair_budget=10, subset_budget=3, seed=0) == 0.0
+    profile = order_profile(game, [None], [1], pair_budget=10, subset_budget=3, seed=0)
+    assert profile.strengths == (0.0,)
 
 
 def test_default_order_grid_small_and_large():
@@ -152,6 +152,12 @@ def test_order_profile_normalization(poly_game):
     assert not profile.degenerate
 
 
+def test_order_profile_rejects_empty_budgets(poly_game):
+    for budgets in (dict(pair_budget=5, subset_budget=0), dict(pair_budget=0, subset_budget=5)):
+        with pytest.raises(ValidationError):
+            order_profile(poly_game, [None], **budgets, seed=0)
+
+
 def test_order_profile_degenerate_on_additive():
     game = synthetic_game(SyntheticGame.additive([1.0] * 6))
     profile = order_profile(game, [None], pair_budget=5, subset_budget=4, seed=1)
@@ -162,16 +168,34 @@ def test_order_profile_degenerate_on_additive():
 def test_model_profile_is_thread_count_invariant(monkeypatch):
     # MLP.forward is not bitwise batch-invariant, so a model-backed game (not a
     # closed-form one) is needed to expose batches that depend on scheduling.
-    n = 10
-    game = LogOddsGame(MLP([n, 32, 32, 2], seed=7), Baseline.zeros(n))
-    sample = (np.random.default_rng(3).normal(size=n), 1)
-    # 30 of 45 pairs; 16 contexts enumerate m in {0, 1, 7, 8} and sample the rest
-    kwargs = dict(pair_budget=30, subset_budget=16, seed=11)
-    monkeypatch.setenv("INTERACTION_LAB_THREADS", "4")
-    threaded = [order_profile(game, [sample], **kwargs).strengths for _ in range(3)]
-    monkeypatch.setenv("INTERACTION_LAB_THREADS", "1")
-    serial = order_profile(game, [sample], **kwargs).strengths
-    assert all(s == serial for s in threaded)
+    # n=10 reads a value table; n=17 evaluates one batch per (pair, order).
+    for n in (10, 17):
+        game = LogOddsGame(MLP([n, 32, 32, 2], seed=7), Baseline.zeros(n))
+        sample = (np.random.default_rng(3).normal(size=n), 1)
+        # 30 pairs; 16 contexts enumerate the outermost orders and sample the rest
+        kwargs = dict(pair_budget=30, subset_budget=16, seed=11)
+        monkeypatch.setenv("INTERACTION_LAB_THREADS", "4")
+        threaded = [order_profile(game, [sample], **kwargs).strengths for _ in range(3)]
+        monkeypatch.setenv("INTERACTION_LAB_THREADS", "1")
+        serial = order_profile(game, [sample], **kwargs).strengths
+        assert all(s == serial for s in threaded)
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_table_profile_matches_enumeration(n):
+    # full budgets: every order is read from the value table's bincounts
+    if n == 8:
+        game = synthetic_game(SyntheticGame.random_polynomial(n, degree=6, num_terms=20, seed=4))
+        sample = None
+    else:
+        game = LogOddsGame(MLP([n, 24, 24, 3], seed=5), Baseline.zeros(n))
+        sample = (np.random.default_rng(8).normal(size=n), 2)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    profile = order_profile(game, [sample], pair_budget=len(pairs),
+                            subset_budget=comb(n - 2, (n - 2) // 2), seed=0)
+    expected = [np.mean([abs(interaction_order_exact(game, i, j, m, x=sample).value)
+                         for i, j in pairs]) for m in range(n - 1)]
+    assert profile.strengths == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_profile_csv_round_trip(tmp_path, poly_game):

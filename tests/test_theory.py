@@ -126,6 +126,14 @@ def test_simulator_deterministic_and_worker_invariant(monkeypatch):
     assert a == b == c
 
 
+def test_predicted_update_norm_beyond_int64_contexts():
+    # C(68, 34) does not fit in 64 bits
+    expected = (35 / (70 * 69)) * mean_norm_gaussian(10, 1.0 / math.sqrt(math.comb(68, 34)))
+    assert predicted_update_norm(70, 34, 10, 1.0) == pytest.approx(expected, rel=1e-15)
+    with pytest.raises(GuardError):
+        predicted_update_norm(1001, 3, 10, 1.0)
+
+
 def test_simulator_context_guard():
     cfg = GradSimConfig(n=40, k=2, sigma=1.0, trials=1, seed=0)
     with pytest.raises(GuardError):
