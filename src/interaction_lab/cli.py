@@ -176,6 +176,9 @@ def _model_input_space(model: MLP, dataset):
 
 
 def _cmd_analyze(args) -> int:
+    for flag, value in (("--pairs", args.pairs), ("--rows", args.rows)):
+        if value < 0:
+            raise ValidationError(f"{flag} must be >= 0 (0 means all), got {value}")
     model = load_model(args.model)
     dataset = resolve_dataset(args.data, args.label_column)
     features, baseline = _model_input_space(model, dataset)
@@ -205,6 +208,8 @@ def _cmd_analyze(args) -> int:
 # ---------------------------------------------------------------- theory
 
 def _cmd_theory(args) -> int:
+    if args.fit_out and not args.fit:
+        raise ValidationError("--fit-out needs --fit")
     curve = theory_curve(args.n)
     resolved = {"command": "theory", "n": args.n,
                 "fit_sha256": args.fit and _file_sha256(args.fit),
@@ -338,9 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orders", default="auto",
                    help="'auto' or comma-separated context sizes")
     p.add_argument("--pairs", type=int, default=0,
-                   help="pairs sampled per order; 0 means every pair")
+                   help="pairs sampled per order above 16 features; 0 means every "
+                        "pair; up to 16 features every pair is enumerated")
     p.add_argument("--samples", type=int, default=128,
-                   help="contexts sampled per pair and order")
+                   help="contexts sampled per pair and order above 16 features; "
+                        "up to 16 features every context is enumerated")
     p.add_argument("--rows", type=int, default=16,
                    help="dataset rows profiled; 0 means every row")
     p.add_argument("--seed", type=int, default=0)

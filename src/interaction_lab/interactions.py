@@ -34,7 +34,6 @@ from .rng import child_seed, make_rng
 from .textio import format_float, read_csv, write_csv
 
 MAX_EXACT_PLAYERS = 20
-MAX_EFFICIENCY_PLAYERS = 12
 MAX_TABLE_PLAYERS = 16
 TABLE_CHUNK = 128  # masks per evaluate_many call when building a value table
 
@@ -112,7 +111,9 @@ def value_table(game: ValueFunction, x=None) -> np.ndarray:
 
     Masks are evaluated in ascending order, TABLE_CHUNK at a time, so every
     value comes from the same batch on every run, memory stays bounded at
-    n = 16, and each chunk's matmuls stay small.
+    n = 16, and each chunk's matmuls stay small. The GuardError raised here is
+    the one size guard of every quantity read from a table: exact profiles,
+    efficiency_residual, exact delta_u and verify_theorem2.
     """
     n = game.n
     if n > MAX_TABLE_PLAYERS:
@@ -150,15 +151,21 @@ def _deltas(corner_values: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _context_orders(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Size of each of a pair's 2^(n-2) contexts in ascending mask order, and C(n-2, m) per m."""
+def _popcounts(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Popcount of each mask 0 .. 2^k - 1 in ascending order, and C(k, m) per m = 0..k."""
     order = np.zeros(1, dtype=np.int64)
-    for _ in range(n - 2):
+    for _ in range(k):
         order = np.concatenate([order, order + 1])
-    counts = np.array([comb(n - 2, m) for m in range(n - 1)], dtype=float)
+    counts = np.array([comb(k, m) for m in range(k + 1)], dtype=float)
     order.setflags(write=False)
     counts.setflags(write=False)
     return order, counts
+
+
+def size_means(values: np.ndarray, k: int) -> np.ndarray:
+    """Mean of values[mask] over the masks of each size 0..k; values holds all 2^k masks."""
+    order, counts = _popcounts(k)
+    return np.bincount(order, weights=values, minlength=k + 1) / counts
 
 
 def pair_order_means(table: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
@@ -178,8 +185,7 @@ def pair_order_means(table: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
         return cube[tuple(index)].ravel()
 
     deltas = (corner(1, 1) + corner(0, 0)) - (corner(1, 0) + corner(0, 1))
-    order, counts = _context_orders(n)
-    return np.bincount(order, weights=deltas, minlength=n - 1) / counts
+    return size_means(deltas, n - 2)
 
 
 def enumerated_contexts(n: int, i: int, j: int, m: int) -> np.ndarray:
@@ -188,11 +194,6 @@ def enumerated_contexts(n: int, i: int, j: int, m: int) -> np.ndarray:
     pool = [k for k in range(n) if k != lo and k != hi]
     return np.array([sum(1 << k for k in combo) for combo in itertools.combinations(pool, m)],
                     dtype=np.uint64)
-
-
-def table_mean(table: np.ndarray, lo: int, hi: int, contexts: np.ndarray) -> float:
-    """Mean delta_v of the pair over the context masks, read from a value table."""
-    return float(_deltas(table[_corners(contexts, lo, hi)]).mean())
 
 
 def delta_v(game: ValueFunction, i: int, j: int, S: int, x=None) -> float:
@@ -265,40 +266,11 @@ def _capped_budget(n: int, m: int, budget: int) -> int:
 
 def _pair_grid(n: int, pair_budget: int, seed: int, m: int) -> list[tuple[int, int]]:
     pairs = list(itertools.combinations(range(n), 2))
-    if pair_budget < 1:
-        raise DomainError(f"pair_budget must be positive, got {pair_budget}")
     if pair_budget >= len(pairs):
         return pairs
     rng = make_rng(seed, _PAIR_STREAM, m)
     idx = rng.permutation(len(pairs))[:pair_budget]
     return [pairs[int(k)] for k in sorted(idx)]
-
-
-def _table_estimator(table: np.ndarray, n: int, seed: int):
-    """I_m(lo, hi) with a capped budget, read from one sample's value table.
-
-    Enumerated orders take the pair's exact per-order means (one bincount
-    per pair, shared by all its orders); sampled orders index the table with
-    the contexts interaction_order_mc would draw.
-    """
-    exact_means: dict[tuple[int, int], np.ndarray] = {}
-
-    def estimate(lo: int, hi: int, m: int, budget: int) -> float:
-        if budget == comb(n - 2, m):
-            if (lo, hi) not in exact_means:
-                exact_means[lo, hi] = pair_order_means(table, n, lo, hi)
-            return float(exact_means[lo, hi][m])
-        return table_mean(table, lo, hi, _contexts(n, lo, hi, m, budget, seed))
-
-    return estimate
-
-
-def _batch_estimator(game: ValueFunction, sample, seed: int):
-    """I_m(lo, hi) from one evaluate_many batch per (pair, order)."""
-    def estimate(lo: int, hi: int, m: int, budget: int) -> float:
-        return interaction_order_mc(game, lo, hi, m, budget, seed, x=sample).value
-
-    return estimate
 
 
 def default_order_grid(n: int) -> tuple[int, ...]:
@@ -318,17 +290,19 @@ def order_profile(game: ValueFunction, samples: Sequence,
     """Strength per order, averaged over the given samples, normalized to mean one.
 
     The strength of order m is the mean |I_m(i, j)| over unordered pairs.
-    Pairs are sampled without replacement when pair_budget is below the full
-    pair count, and fully covered otherwise. The subset budget is capped at
-    the context count, so covered orders are enumerated exactly.
 
     samples is a non-empty sequence of opaque per-sample inputs handed to the
     game's evaluate_many (closed-form games take [None]; model-backed games take
-    (features, target) pairs). Each sample runs under its own derived seed and
-    has one evaluation path: for n <= MAX_TABLE_PLAYERS its value table, read by
-    every pair and order; beyond that one batch per (pair, order), in fixed
-    pair order. The normalization denominator is the mean over the declared
-    grid only.
+    (features, target) pairs). For n <= MAX_TABLE_PLAYERS each sample's value
+    table is built once and every pair's exact per-order means are read from
+    it; both budgets are then ignored, and the profile records the budgets
+    that enumeration amounts to: every pair, and the largest context count
+    C(n - 2, (n - 2) // 2). Beyond that, each sample runs under its own derived
+    seed: pairs are sampled without replacement when pair_budget is below the
+    full pair count, the subset budget is capped at the context count (so
+    covered orders are enumerated exactly), and each (pair, order) is one
+    evaluate_many batch, in fixed pair order. The normalization denominator is
+    the mean over the declared grid only.
     """
     n = game.n
     if len(samples) == 0:
@@ -341,20 +315,28 @@ def order_profile(game: ValueFunction, samples: Sequence,
             raise DomainError("order grid must be strictly increasing")
     for m in grid:
         _check_order(n, m)
+    if pair_budget < 1:
+        raise DomainError(f"pair_budget must be positive, got {pair_budget}")
     if subset_budget < 1:
         raise DomainError(f"subset_budget must be positive, got {subset_budget}")
 
     per_sample = np.empty((len(samples), len(grid)))
-    for t, sample in enumerate(samples):
-        sample_seed = child_seed(seed, _SAMPLE_STREAM, t)
-        if n <= MAX_TABLE_PLAYERS:
-            estimate = _table_estimator(value_table(game, sample), n, sample_seed)
-        else:
-            estimate = _batch_estimator(game, sample, sample_seed)
-        for col, m in enumerate(grid):
-            budget = _capped_budget(n, m, subset_budget)
-            pairs = _pair_grid(n, pair_budget, sample_seed, m)
-            per_sample[t, col] = np.mean([abs(estimate(i, j, m, budget)) for i, j in pairs])
+    if n <= MAX_TABLE_PLAYERS:
+        pairs = list(itertools.combinations(range(n), 2))
+        pair_budget, subset_budget = len(pairs), comb(n - 2, (n - 2) // 2)
+        for t, sample in enumerate(samples):
+            table = value_table(game, sample)
+            # one row of |I_m| per order, in pair order
+            magnitudes = np.abs([pair_order_means(table, n, i, j) for i, j in pairs]).T
+            per_sample[t] = [np.mean(magnitudes[m]) for m in grid]
+    else:
+        for t, sample in enumerate(samples):
+            sample_seed = child_seed(seed, _SAMPLE_STREAM, t)
+            for col, m in enumerate(grid):
+                budget = _capped_budget(n, m, subset_budget)
+                per_sample[t, col] = np.mean([
+                    abs(interaction_order_mc(game, i, j, m, budget, sample_seed, x=sample).value)
+                    for i, j in _pair_grid(n, pair_budget, sample_seed, m)])
     strengths = per_sample.mean(axis=0)
     mean = float(strengths.mean())
     if np.isfinite(mean) and mean > 0:
@@ -378,7 +360,7 @@ def efficiency_weight(n: int, m: int) -> float:
 def efficiency_residual(game: ValueFunction, x=None) -> EfficiencyReport:
     """Check v(full) against its additive-plus-interactions reconstruction.
 
-    Builds the complete value table (hence the n <= MAX_EFFICIENCY_PLAYERS
+    Builds the complete value table (hence value_table's n <= MAX_TABLE_PLAYERS
     guard), forms every exact per-order interaction, and reconstructs
 
         v(full) = v(empty) + sum_i [v({i}) - v(empty)]
@@ -387,9 +369,6 @@ def efficiency_residual(game: ValueFunction, x=None) -> EfficiencyReport:
     with w(m) = (n - 1 - m) / (n (n - 1)).
     """
     n = game.n
-    if n > MAX_EFFICIENCY_PLAYERS:
-        raise GuardError(
-            f"efficiency check is limited to n <= {MAX_EFFICIENCY_PLAYERS}, got n={n}")
     table = value_table(game, x)
     lhs = float(table[(1 << n) - 1])
     v_empty = float(table[0])

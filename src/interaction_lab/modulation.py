@@ -10,7 +10,8 @@ contains the same number of size-s1 subsets, both marginals are uniform and
 the pair distribution matches the nested expectation. Expanding delta_u in
 per-order interactions gives a closed-form weight for every order that
 vanishes above s2 - 2, so the signal only listens to orders inside the band;
-verify_theorem2 checks that expansion against brute-force enumeration.
+verify_theorem2 checks that expansion against exact per-order interactions
+read from a full value table.
 
 Two training losses act through the per-class version of the signal: the
 encouraging loss classifies with softmax(delta_u_c) (forcing the banded
@@ -21,7 +22,6 @@ and the closed-form weight refuses r1 = 0 outright.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import floor
 from numbers import Integral
@@ -30,14 +30,11 @@ from typing import Sequence
 import numpy as np
 from scipy.special import xlogy
 
-from .errors import DomainError, GuardError, NumericError, ValidationError
+from .errors import DomainError, NumericError, ValidationError
 from .games import Baseline, ValueFunction, masked_matrix, sample_subset
-from .interactions import enumerated_contexts, evaluate, table_mean, value_table
+from .interactions import evaluate, pair_order_means, size_means, value_table
 from .mlp import MLP, ParamGrads, ce_value_and_grad, cross_entropy, cross_entropy_grad, softmax
 from .rng import child_seed, make_rng
-
-MAX_EXACT_DELTA_U_PLAYERS = 14
-MAX_VERIFY_PLAYERS = 10
 
 _ROW_STREAM = 0xC2B2AE35
 
@@ -177,37 +174,27 @@ def _sample_pairs(n: int, s1: int, s2: int, count: int,
     return pairs
 
 
-def _enumerate_pairs(n: int, s1: int, s2: int) -> np.ndarray:
-    """Every nested pair, laid out as in _sample_pairs."""
-    pairs = []
-    for outer in itertools.combinations(range(n), s2):
-        outer_bits = sum(1 << k for k in outer)
-        for inner in itertools.combinations(outer, s1):
-            pairs.append((sum(1 << k for k in inner), outer_bits))
-    return np.array(pairs, dtype=np.uint64).T
-
-
 def _exact_delta_u(table: np.ndarray, n: int, s1: int, s2: int) -> float:
-    inner, outer = table[_enumerate_pairs(n, s1, s2)]
-    return float(np.mean(outer - _effective_ratio(s1, s2) * inner))
+    # both marginals of the nested pair are uniform, so the pair mean splits
+    # into the mean value at size s2 minus ratio times the mean at size s1
+    means = size_means(table, n)
+    return float(means[s2] - _effective_ratio(s1, s2) * means[s1])
 
 
 def delta_u(game: ValueFunction, r1: float, r2: float, pair_samples: int, seed: int,
             x=None, exact: bool = False) -> float:
     """Band-selective output difference E[v(S2) - (s2/s1) v(S1)].
 
-    exact mode enumerates every nested pair over the game's value table
-    (guarded to n <= 14) and ignores pair_samples and seed; otherwise
-    pair_samples pairs are drawn from the stream of the given seed and
-    evaluated in one batch. At r1 = 0: E[v(S2)] - v(empty).
+    exact mode reads the game's value table (so n <= MAX_TABLE_PLAYERS):
+    because both marginals of the nested pair are uniform, the expectation is
+    the mean of v over size s2 minus s2/s1 times the mean over size s1, one
+    popcount bincount over the table. It ignores pair_samples and seed.
+    Otherwise pair_samples pairs are drawn from the stream of the given seed
+    and evaluated in one batch. At r1 = 0: E[v(S2)] - v(empty).
     """
     n = game.n
     s1, s2 = band_sizes(n, r1, r2)
     if exact:
-        if n > MAX_EXACT_DELTA_U_PLAYERS:
-            raise GuardError(
-                f"exact pair enumeration is limited to n <= {MAX_EXACT_DELTA_U_PLAYERS}, "
-                f"got n={n}")
         return _exact_delta_u(value_table(game, x), n, s1, s2)
     if pair_samples < 1:
         raise DomainError(f"pair_samples must be positive, got {pair_samples}")
@@ -350,10 +337,10 @@ def verify_theorem2(n: int, r1: float, r2: float, num_games: int, seed: int) -> 
     sum of exact per-order interactions, with weights from theorem2_weight.
     The pair sum must run over ordered pairs: collapsing to unordered pairs
     halves the interaction mass and leaves O(1) residuals. Each game's value
-    table is evaluated once and read by both sides.
+    table (so n <= MAX_TABLE_PLAYERS) is evaluated once and read by both
+    sides: exact delta_u from its size means, the interactions from
+    pair_order_means.
     """
-    if n > MAX_VERIFY_PLAYERS:
-        raise GuardError(f"verification is limited to n <= {MAX_VERIFY_PLAYERS}, got n={n}")
     if r1 == 0:
         raise DomainError("verification needs r1 > 0; the expansion is undefined at r1=0")
     if num_games < 1:
@@ -362,20 +349,16 @@ def verify_theorem2(n: int, r1: float, r2: float, num_games: int, seed: int) -> 
 
     s1, s2 = band_sizes(n, r1, r2)
     ratio = _effective_ratio(s1, s2)
-    weights = order_weights(n, r1, r2).weights
+    weights = np.array(order_weights(n, r1, r2).weights)
     worst = 0.0
     for g in range(num_games):
         spec = SyntheticGame.random_polynomial(
             n, degree=n, num_terms=2 * n + 5, seed=child_seed(seed, g))
         table = value_table(synthetic_game(spec))
         measured = _exact_delta_u(table, n, s1, s2)
-        recon = (1.0 - ratio) * float(table[0])
-        for m in range(n - 1):
-            if weights[m] == 0.0:
-                continue
-            pair_sum = 0.0
-            for i, j in itertools.combinations(range(n), 2):
-                pair_sum += 2.0 * table_mean(table, i, j, enumerated_contexts(n, i, j, m))
-            recon += weights[m] * pair_sum
+        # ordered pairs: (i, j) and (j, i) carry the same interaction
+        pair_sums = 2.0 * sum(pair_order_means(table, n, i, j)
+                              for i in range(n) for j in range(i + 1, n))
+        recon = (1.0 - ratio) * float(table[0]) + float(weights @ pair_sums)
         worst = max(worst, abs(measured - recon))
     return worst

@@ -26,7 +26,8 @@ import numpy as np
 from .datasets import TabularDataset, apply_standardization, split_dataset, standardize
 from .errors import DomainError, NumericError, ValidationError
 from .games import Baseline
-from .interactions import OrderProfile, order_profile, LogOddsGame, write_profile_csv
+from .interactions import (MAX_TABLE_PLAYERS, LogOddsGame, OrderProfile, order_profile,
+                           write_profile_csv)
 from .mlp import MLP, accuracy, cross_entropy
 from .modulation import ModulationSpec, combined_value_and_grad
 from .rng import child_seed, make_rng
@@ -34,7 +35,6 @@ from .textio import format_float, read_csv, write_csv
 
 TRAIN_LOG_HEADER = "epoch,train_loss,train_acc,val_loss,val_acc"
 PROBE_ROWS = 16
-MAX_PROBE_FEATURES = 16
 
 _SPLIT_STREAM = 0x165667B1
 _INIT_STREAM = 0x27D4EB2F
@@ -135,7 +135,7 @@ def _probe_profile(model: MLP, probe_X: np.ndarray, probe_y: np.ndarray,
     n = probe_X.shape[1]
     game = LogOddsGame(model, baseline)
     samples = [(probe_X[t], int(probe_y[t])) for t in range(len(probe_X))]
-    # budgets cover every pair and every context, so the profile is exact
+    # n <= MAX_TABLE_PLAYERS, so the profile is exact and records these full budgets
     return order_profile(game, samples,
                          pair_budget=n * (n - 1) // 2,
                          subset_budget=comb(n - 2, (n - 2) // 2),
@@ -178,7 +178,7 @@ def train(config: TrainConfig, dataset: TabularDataset) -> tuple[MLP, TrainLog]:
         "train_seed": config.seed,
     }
 
-    snap_orders = config.snapshot_every > 0 and n <= MAX_PROBE_FEATURES
+    snap_orders = config.snapshot_every > 0 and n <= MAX_TABLE_PLAYERS
     probe_X = X_val[:PROBE_ROWS]
     probe_y = y_val[:PROBE_ROWS]
 

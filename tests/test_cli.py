@@ -257,6 +257,13 @@ def _saved(command, *flags):
     return argv
 
 
+def _analyze(*flags):
+    def argv(workdir, tmp_path):
+        return ["analyze", "--model", str(workdir / "run" / "model.json"),
+                "--data", str(workdir / "task.csv"), *flags, "--out", str(tmp_path / "p.csv")]
+    return argv
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(_train({"epochs": 1.5}), id="fractional-epochs"),
     pytest.param(_train({"hidden_sizes": 5}), id="scalar-hidden-sizes"),
@@ -270,6 +277,10 @@ def _saved(command, *flags):
     pytest.param(_saved("attack", "--eps", "0.1"), id="attack-out-in-missing-dir"),
     pytest.param(lambda w, t: ["theory", "--n", "6", "--out", str(t / "missing" / "c.csv")],
                  id="theory-out-in-missing-dir"),
+    pytest.param(lambda w, t: ["theory", "--n", "12", "--out", str(t / "t.csv"),
+                               "--fit-out", str(t / "f.json")], id="fit-out-without-fit"),
+    pytest.param(_analyze("--rows", "-1"), id="negative-rows"),
+    pytest.param(_analyze("--pairs", "-3"), id="negative-pairs"),
 ])
 def test_malformed_input_is_one_error_line(argv, workdir, tmp_path, capsys):
     code = main(argv(workdir, tmp_path))

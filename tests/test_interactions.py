@@ -125,9 +125,11 @@ def test_efficiency_identity_random_games(n, seed):
 
 
 def test_efficiency_guard():
-    game = synthetic_game(SyntheticGame.additive([1.0] * 13))
+    # the value table's guard: 16 players run, 17 do not
+    game = synthetic_game(SyntheticGame.random_polynomial(16, 16, 37, seed=1))
+    assert efficiency_residual(game).relative_residual < 1e-12
     with pytest.raises(GuardError):
-        efficiency_residual(game)
+        efficiency_residual(synthetic_game(SyntheticGame.additive([1.0] * 17)))
 
 
 def test_single_order_profile_additive_is_zero():
@@ -158,6 +160,21 @@ def test_order_profile_rejects_empty_budgets(poly_game):
             order_profile(poly_game, [None], **budgets, seed=0)
 
 
+def test_table_profile_ignores_budgets_and_reports_full_ones(poly_game):
+    full = order_profile(poly_game, [None], pair_budget=28, subset_budget=20, seed=0)
+    tiny = order_profile(poly_game, [None], pair_budget=3, subset_budget=2, seed=9)
+    assert tiny.strengths == full.strengths
+    assert (tiny.pair_budget, tiny.subset_budget) == (28, comb(6, 3))
+
+
+def test_profile_budgets_matter_above_the_table_guard():
+    game = synthetic_game(SyntheticGame.random_polynomial(17, degree=6, num_terms=40, seed=2))
+    tiny = order_profile(game, [None], [3, 8], pair_budget=3, subset_budget=2, seed=0)
+    larger = order_profile(game, [None], [3, 8], pair_budget=12, subset_budget=16, seed=0)
+    assert tiny.strengths != larger.strengths
+    assert (tiny.pair_budget, tiny.subset_budget) == (3, 2)
+
+
 def test_order_profile_degenerate_on_additive():
     game = synthetic_game(SyntheticGame.additive([1.0] * 6))
     profile = order_profile(game, [None], pair_budget=5, subset_budget=4, seed=1)
@@ -172,7 +189,7 @@ def test_model_profile_is_thread_count_invariant(monkeypatch):
     for n in (10, 17):
         game = LogOddsGame(MLP([n, 32, 32, 2], seed=7), Baseline.zeros(n))
         sample = (np.random.default_rng(3).normal(size=n), 1)
-        # 30 pairs; 16 contexts enumerate the outermost orders and sample the rest
+        # at n=17: 30 pairs; 16 contexts enumerate the outermost orders and sample the rest
         kwargs = dict(pair_budget=30, subset_budget=16, seed=11)
         monkeypatch.setenv("INTERACTION_LAB_THREADS", "4")
         threaded = [order_profile(game, [sample], **kwargs).strengths for _ in range(3)]
@@ -183,7 +200,7 @@ def test_model_profile_is_thread_count_invariant(monkeypatch):
 
 @pytest.mark.parametrize("n", [8, 10])
 def test_table_profile_matches_enumeration(n):
-    # full budgets: every order is read from the value table's bincounts
+    # every order is read from the value table's bincounts
     if n == 8:
         game = synthetic_game(SyntheticGame.random_polynomial(n, degree=6, num_terms=20, seed=4))
         sample = None

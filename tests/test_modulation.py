@@ -1,4 +1,5 @@
 """Tests for band-selective output differences and the modulation losses."""
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from interaction_lab import (
     MLP,
     Baseline,
     DomainError,
+    GuardError,
     ModulationSpec,
     SyntheticGame,
     ValidationError,
@@ -135,6 +137,42 @@ def test_delta_u_exact_ignores_seed_and_sampling_converges():
     assert sampled == pytest.approx(exact, abs=0.1)
     assert delta_u(game, 0.25, 0.75, pair_samples=16, seed=3) == \
         delta_u(game, 0.25, 0.75, pair_samples=16, seed=3)
+
+
+def _nested_pair_delta_u(game, r1, r2):
+    """Mean of v(S2) - (s2/s1) v(S1) over every nested pair S1 inside S2, by brute force."""
+    s1, s2 = band_sizes(game.n, r1, r2)
+    ratio = s2 / s1 if s1 > 0 else 1.0
+    inner, outer = [], []
+    for big in itertools.combinations(range(game.n), s2):
+        for small in itertools.combinations(big, s1):
+            outer.append(sum(1 << k for k in big))
+            inner.append(sum(1 << k for k in small))
+    v_inner = game.evaluate_many(np.array(inner, dtype=np.uint64))
+    v_outer = game.evaluate_many(np.array(outer, dtype=np.uint64))
+    return float(np.mean(v_outer - ratio * v_inner))
+
+
+@pytest.mark.parametrize("n,bands", [
+    (6, [(1 / 3, 5 / 6), (0.0, 0.5), (0.5, 1.0)]),
+    (8, [(0.25, 0.75), (0.0, 1.0), (0.125, 0.5)]),
+])
+def test_exact_delta_u_matches_nested_pair_enumeration(n, bands):
+    game = synthetic_game(SyntheticGame.random_polynomial(n, n, 2 * n + 5, seed=n))
+    for r1, r2 in bands:
+        exact = delta_u(game, r1, r2, pair_samples=1, seed=0, exact=True)
+        assert exact == pytest.approx(_nested_pair_delta_u(game, r1, r2), rel=0, abs=1e-12)
+
+
+def test_table_backed_checks_share_the_value_table_guard():
+    game = synthetic_game(SyntheticGame.random_polynomial(16, 16, 37, seed=1))
+    assert np.isfinite(delta_u(game, 0.25, 0.75, pair_samples=1, seed=0, exact=True))
+    assert verify_theorem2(16, 0.25, 0.75, num_games=1, seed=0) < 1e-8
+    wide = synthetic_game(SyntheticGame.additive([1.0] * 17))
+    with pytest.raises(GuardError):
+        delta_u(wide, 0.25, 0.75, pair_samples=1, seed=0, exact=True)
+    with pytest.raises(GuardError):
+        verify_theorem2(17, 0.25, 0.75, num_games=1, seed=0)
 
 
 def test_band_losses_constant_model():
