@@ -17,7 +17,6 @@ from .games import (
     ValueFunction,
     compute_baseline,
     masked_matrix,
-    sample_subset,
     synthetic_game,
 )
 from .interactions import (

@@ -190,11 +190,13 @@ def _cmd_analyze(args) -> int:
     game = LogOddsGame(model, baseline)
     profile = order_profile(game, samples, grid, pair_budget=pair_budget,
                             subset_budget=args.samples, seed=args.seed)
+    # the budgets the profile used: up to MAX_TABLE_PLAYERS they are the
+    # enumeration amounts, whatever --pairs and --samples asked for
     resolved = {"command": "analyze", "model_sha256": _file_sha256(args.model),
                 "data": str(args.data),
                 "label_column": args.label_column, "orders": args.orders,
-                "pairs": pair_budget, "samples": args.samples, "rows": rows,
-                "seed": args.seed}
+                "pairs": profile.pair_budget, "samples": profile.subset_budget,
+                "rows": rows, "seed": args.seed}
     write_profile_csv(args.out, profile,
                       {"config_sha256": _config_hash(resolved), "seed": args.seed})
     if profile.degenerate:

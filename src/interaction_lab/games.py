@@ -90,25 +90,14 @@ def _members(pool: int) -> np.ndarray:
     return _PLAYER_BITS[(np.uint64(pool) & _PLAYER_BITS) != 0]
 
 
-def sample_subset(pool: int, m: int, rng: np.random.Generator) -> int:
-    """One uniform size-m sub-mask of the pool mask; identical stream -> identical subset.
-
-    The draw is rng.permutation over the pool's players in ascending order,
-    keeping the first m.
-    """
-    members = _members(pool)
-    if not (0 <= m <= len(members)):
-        raise DomainError(f"subset size {m} outside [0, {len(members)}]")
-    # permuting the players' bits permutes them exactly as their indices
-    return int(rng.permutation(members)[:m].sum())
-
-
 def sample_subsets(pool: int, m: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count draws of sample_subset as one uint64 array, from the same stream.
+    """count uniform size-m sub-masks of the pool mask as one uint64 array.
 
-    rng.permuted shuffles row by row with the same draws as one
-    rng.permutation per row, so the masks and the generator's end state equal
-    those of count sample_subset calls.
+    Each draw permutes the pool's players in ascending order and keeps the
+    first m. rng.permuted shuffles row by row with the same draws as one
+    rng.permutation per row, so draw k and the generator's end state equal
+    those of count calls of rng.permutation(members)[:m].sum(). An identical
+    stream gives identical subsets.
     """
     members = _members(pool)
     if not (0 <= m <= len(members)):

@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DimensionError, DomainError, NumericError, SchemaError, ValidationError
 from .rng import make_rng
@@ -149,8 +148,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
+    # max-shifted logsumexp in numpy directly: scipy.special.logsumexp's
+    # dispatch costs about half of a batch-32 training step
     z = np.asarray(logits, dtype=float)
-    return z - logsumexp(z, axis=-1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def _check_labels(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:

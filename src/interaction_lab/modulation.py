@@ -4,14 +4,18 @@ For fractions r1 < r2 with sizes s_k = round(r_k * n) (half up), the signal
 
     delta_u(r1, r2) = E[ v(S2) - (s2/s1) * v(S1) ]        (S1 strictly inside S2)
 
-averages over nested subset pairs |S1| = s1, |S2| = s2. Sampling draws S2
-uniformly at size s2 and then S1 uniformly inside S2; because every S2
-contains the same number of size-s1 subsets, both marginals are uniform and
-the pair distribution matches the nested expectation. Expanding delta_u in
-per-order interactions gives a closed-form weight for every order that
-vanishes above s2 - 2, so the signal only listens to orders inside the band;
-verify_theorem2 checks that expansion against exact per-order interactions
-read from a full value table.
+averages over nested subset pairs |S1| = s1, |S2| = s2. Sampling takes one
+uniform permutation of the n player bits per pair: S2 is its first s2
+players and S1 its first s1. So S2 is uniform at size s2 and S1 uniform
+inside it; because every S2 contains the same number of size-s1 subsets,
+both marginals are uniform and the pair distribution matches the nested
+expectation. A training loss draws every pair of one step's batch from one
+generator per (step, term), pair_samples consecutive pairs per row.
+
+Expanding delta_u in per-order interactions gives a closed-form weight for
+every order that vanishes above s2 - 2, so the signal only listens to orders
+inside the band; verify_theorem2 checks that expansion against exact
+per-order interactions read from a full value table.
 
 Two training losses act through the per-class version of the signal: the
 encouraging loss classifies with softmax(delta_u_c) (forcing the banded
@@ -31,7 +35,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .errors import DomainError, NumericError, ValidationError
-from .games import Baseline, ValueFunction, masked_matrix, sample_subset
+from .games import _PLAYER_BITS, Baseline, ValueFunction, masked_matrix
 from .interactions import evaluate, pair_order_means, size_means, value_table
 from .mlp import MLP, ParamGrads, ce_value_and_grad, cross_entropy, cross_entropy_grad, softmax
 from .rng import child_seed, make_rng
@@ -166,12 +170,14 @@ def _effective_ratio(s1: int, s2: int) -> float:
 
 def _sample_pairs(n: int, s1: int, s2: int, count: int,
                   rng: np.random.Generator) -> np.ndarray:
-    """(2, count) uint64 masks: row 0 holds each S1, row 1 the S2 around it."""
-    pairs = np.empty((2, count), dtype=np.uint64)
-    for p in range(count):
-        outer = sample_subset((1 << n) - 1, s2, rng)
-        pairs[:, p] = sample_subset(outer, s1, rng), outer
-    return pairs
+    """(2, count) uint64 masks: row 0 holds each S1, row 1 the S2 around it.
+
+    Pair p permutes the n player bits with one rng.permuted row; S2 sums
+    the first s2 of them and S1 the first s1.
+    """
+    order = rng.permuted(np.broadcast_to(_PLAYER_BITS[:n], (count, n)), axis=1)
+    return np.stack([order[:, :s1].sum(axis=1, dtype=np.uint64),
+                     order[:, :s2].sum(axis=1, dtype=np.uint64)])
 
 
 def _exact_delta_u(table: np.ndarray, n: int, s1: int, s2: int) -> float:
@@ -208,7 +214,9 @@ def _band_delta_logits(model: MLP, X: np.ndarray, baseline: Baseline,
                        need_trace: bool):
     """Per-row, per-class delta_u matrix, plus what backward needs.
 
-    For each row the same drawn pairs serve every class. Returns (delta,
+    One generator, make_rng(seed, _ROW_STREAM), draws all batch *
+    pair_samples pairs; row b takes pairs [Pb, P(b+1)). For each row the
+    same drawn pairs serve every class. Returns (delta,
     ratio, trace, logits_shape) where delta has shape (batch, classes);
     trace is None unless requested.
     """
@@ -220,10 +228,8 @@ def _band_delta_logits(model: MLP, X: np.ndarray, baseline: Baseline,
     ratio = _effective_ratio(s1, s2)
     batch = len(X)
     # row b owns stack rows [2Pb, 2P(b+1)): its P inner masks, then its P outer ones
-    bits = np.empty((batch, 2, pair_samples), dtype=np.uint64)
-    for b in range(batch):
-        bits[b] = _sample_pairs(n, s1, s2, pair_samples,
-                                make_rng(child_seed(seed, _ROW_STREAM, b)))
+    pairs = _sample_pairs(n, s1, s2, batch * pair_samples, make_rng(seed, _ROW_STREAM))
+    bits = pairs.reshape(2, batch, pair_samples).transpose(1, 0, 2)
     stacked = masked_matrix(np.repeat(X, 2 * pair_samples, axis=0), bits.reshape(-1), baseline)
     if need_trace:
         logits, trace = model.forward_trace(stacked)

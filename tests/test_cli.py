@@ -231,6 +231,30 @@ def test_analyze_handles_64_players(tmp_path, capsys):
     assert "n=64" in out.read_text()
 
 
+def _stamp(path):
+    header = path.read_text().splitlines()[0]
+    return next(field for field in header.split() if field.startswith("config_sha256="))
+
+
+def test_analyze_stamps_the_budgets_it_used(tmp_path, capsys):
+    # up to 16 features the profile enumerates, so --samples changes nothing
+    model = _wide_model(tmp_path, 12)
+    default, full = tmp_path / "default.csv", tmp_path / "full.csv"
+    assert main(["analyze", *model, "--rows", "2", "--out", str(default)]) == 0
+    assert main(["analyze", *model, "--rows", "2", "--samples", "252",
+                 "--out", str(full)]) == 0
+    assert default.read_bytes() == full.read_bytes()
+    # above the table guard the budget is used, and the stamp tells them apart
+    wide = _wide_model(tmp_path, 17)
+    stamps = []
+    for samples in ("4", "5"):
+        out = tmp_path / f"wide17_{samples}.csv"
+        assert main(["analyze", *wide, "--rows", "1", "--pairs", "2", "--orders", "5",
+                     "--samples", samples, "--out", str(out)]) == 0
+        stamps.append(_stamp(out))
+    assert stamps[0] != stamps[1]
+
+
 def test_analyze_rejects_65_players(tmp_path, capsys):
     code = main(["analyze", *_wide_model(tmp_path, 65), "--pairs", "2", "--orders", "5",
                  "--samples", "4", "--out", str(tmp_path / "wide.csv")])

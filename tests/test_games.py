@@ -11,7 +11,6 @@ from interaction_lab import (
     compute_baseline,
     masked_matrix,
     make_rng,
-    sample_subset,
     synthetic_game,
 )
 from interaction_lab.games import sample_subsets
@@ -78,17 +77,17 @@ def test_compute_baseline_is_column_means():
 
 def test_sample_subset_is_within_pool_and_seeded():
     pool = 0b01010101
-    a = sample_subset(pool, 2, make_rng(9))
-    b = sample_subset(pool, 2, make_rng(9))
+    a = int(sample_subsets(pool, 2, 1, make_rng(9))[0])
+    b = int(sample_subsets(pool, 2, 1, make_rng(9))[0])
     assert a == b
     assert a & ~pool == 0 and a.bit_count() == 2
     with pytest.raises(DomainError):
-        sample_subset(pool, 5, make_rng(0))
+        sample_subsets(pool, 5, 1, make_rng(0))
 
 
 def test_sample_subset_permutes_sorted_members():
     pool = TOP | 0b1010
-    picked = sample_subset(pool, 2, make_rng(4))
+    picked = int(sample_subsets(pool, 2, 1, make_rng(4))[0])
     members = make_rng(4).permutation([1, 3, 63])[:2]
     assert picked == sum(1 << int(k) for k in members)
 
@@ -97,10 +96,11 @@ def test_sample_subset_permutes_sorted_members():
 def test_sample_subsets_equals_sample_subset_loop(n):
     # pins numpy's row order in Generator.permuted: a numpy that changes it fails here
     pool = ((1 << n) - 1) & ~0b10
+    members = np.array([1 << k for k in range(n) if k != 1], dtype=np.uint64)
     for m in range(n):
         batched_rng, loop_rng = make_rng(n, m), make_rng(n, m)
         batched = sample_subsets(pool, m, 17, batched_rng)
-        loop = [sample_subset(pool, m, loop_rng) for _ in range(17)]
+        loop = [int(loop_rng.permutation(members)[:m].sum()) for _ in range(17)]
         assert batched.dtype == np.uint64 and batched.tolist() == loop
         assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
     with pytest.raises(DomainError):

@@ -1,9 +1,12 @@
 """Tests for band-selective output differences and the modulation losses."""
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from interaction_lab import (
     MLP,
@@ -32,6 +35,7 @@ from interaction_lab import (
     theorem2_weight,
     verify_theorem2,
 )
+from interaction_lab.modulation import _ROW_STREAM, _band_delta_logits, _sample_pairs
 
 
 def test_round_half_up():
@@ -173,6 +177,63 @@ def test_table_backed_checks_share_the_value_table_guard():
         delta_u(wide, 0.25, 0.75, pair_samples=1, seed=0, exact=True)
     with pytest.raises(GuardError):
         verify_theorem2(17, 0.25, 0.75, num_games=1, seed=0)
+
+
+@st.composite
+def _pair_draws(draw):
+    n = draw(st.integers(2, 64))
+    s2 = draw(st.integers(1, n))
+    s1 = draw(st.integers(0, s2 - 1))
+    return n, s1, s2, draw(st.integers(1, 64)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pair_draws())
+@example((64, 0, 64, 1, 0))  # S2 holds every player, bit 63 included
+@example((64, 63, 64, 64, 1))
+def test_sample_pairs_are_nested_and_sized(draw):
+    n, s1, s2, count, seed = draw
+    pairs = _sample_pairs(n, s1, s2, count, make_rng(seed))
+    assert pairs.dtype == np.uint64 and pairs.shape == (2, count)
+    for inner, outer in zip(pairs[0].tolist(), pairs[1].tolist()):
+        assert inner.bit_count() == s1 and outer.bit_count() == s2
+        assert inner & ~outer == 0
+        assert outer >> n == 0
+
+
+def test_sample_pairs_are_uniform_over_nested_pairs():
+    n, s1, s2, draws = 5, 1, 3, 30_000
+    pairs = _sample_pairs(n, s1, s2, draws, make_rng(2024))
+    counts = Counter(zip(pairs[0].tolist(), pairs[1].tolist()))
+    # C(5, 3) outer sets times 3 inner players each
+    expected = {(1 << i, sum(1 << k for k in big))
+                for big in itertools.combinations(range(n), s2) for i in big}
+    assert set(counts) == expected and len(expected) == 30
+    p = 1 / len(expected)
+    se = math.sqrt(draws * p * (1 - p))
+    for pair, c in counts.items():
+        assert abs(c - draws * p) <= 5 * se, f"pair {pair} drawn {c} times"
+
+
+def _stack_masks(seed, batch, pair_samples, n=6):
+    # ones masked toward a zero baseline: each stack row is its mask's indicator
+    model = MLP((n, 3, 2), seed=0)
+    _, _, trace, _ = _band_delta_logits(model, np.ones((batch, n)), Baseline.zeros(n),
+                                        0.3, 0.7, pair_samples, seed, need_trace=True)
+    stacked = trace[0][0]
+    return (stacked != 0) @ (1 << np.arange(n))
+
+
+def test_band_delta_logits_masks_follow_seed_and_batch():
+    batch, pair_samples = 5, 3
+    masks = _stack_masks(11, batch, pair_samples)
+    assert np.array_equal(masks, _stack_masks(11, batch, pair_samples))
+    assert not np.array_equal(masks, _stack_masks(12, batch, pair_samples))
+    # one stream per call: row b holds pairs [Pb, P(b+1)), its S1s then its S2s
+    s1, s2 = band_sizes(6, 0.3, 0.7)
+    pairs = _sample_pairs(6, s1, s2, batch * pair_samples, make_rng(11, _ROW_STREAM))
+    rows = pairs.reshape(2, batch, pair_samples).transpose(1, 0, 2).reshape(-1)
+    assert masks.tolist() == rows.tolist()
 
 
 def test_band_losses_constant_model():
