@@ -5,7 +5,9 @@ Five subcommands: verify (self-check suites with hard thresholds), analyze
 and optional profile fit), train (SGD with optional banded loss terms), and
 attack (PGD robustness evaluation). Every output file embeds a sha256 over
 the fully resolved configuration plus the seed, and identical invocations
-produce byte-identical files. Each command runs with one OpenBLAS thread.
+produce byte-identical files. Each command runs on one thread: the library
+starts no worker threads, and numpy's bundled OpenBLAS is held to one thread
+for the duration of the command.
 
 Errors leave on stderr as one machine-parsable line, `error: <kind>: <text>`,
 with the exit code encoding the kind: 1 for validation/schema problems, 2 for
@@ -14,10 +16,13 @@ verification failures, 3 for numeric failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -29,7 +34,6 @@ from .interactions import (LogOddsGame, efficiency_residual, order_profile,
                            read_profile_csv, write_profile_csv)
 from .mlp import MLP, accuracy, load_model, save_model
 from .modulation import ModulationSpec, verify_theorem2
-from .parallel import one_blas_thread
 from .rng import child_seed
 from .theory import (GradSimConfig, fit_effective_n, learning_strength_hat,
                      simulate_curve, theory_curve, write_theory_csv)
@@ -41,7 +45,7 @@ _THEOREM2_THRESHOLD = 1e-8
 _GRADSIM_TOLERANCE = 0.03
 
 _TRAIN_KEYS = {"epochs", "batch_size", "learning_rate", "seed", "hidden_sizes",
-               "snapshot_every", "train_fraction", "val_fraction", "terms",
+               "snapshot_every", "val_fraction", "terms",
                "variant", "label_column"}
 
 
@@ -68,6 +72,17 @@ def _file_sha256(path) -> str:
 
 def _write_json(path, obj: dict) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True) + "\n", newline="")
+
+
+def _seed(text: str) -> int:
+    # checked at parse time, so every command rejects a negative seed alike
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
 
 
 def _out_path(text: str) -> str:
@@ -274,7 +289,7 @@ def _load_train_config(path, seed_override: int | None) -> tuple[TrainConfig, st
         "learning_rate": config.learning_rate, "seed": config.seed,
         "hidden_sizes": list(config.hidden_sizes),
         "snapshot_every": config.snapshot_every,
-        "train_fraction": config.train_fraction, "val_fraction": config.val_fraction,
+        "val_fraction": config.val_fraction,
         "terms": [term.to_json_dict() for term in config.terms],
     }
     return config, label_column, resolved
@@ -334,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run self-check suites against hard thresholds")
     p.add_argument("--suite", choices=["efficiency", "theorem2", "gradsim", "all"],
                    default="all")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("analyze", help="interaction profile of a model on a dataset")
@@ -352,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "up to 16 features every context is enumerated")
     p.add_argument("--rows", type=int, default=16,
                    help="dataset rows profiled; 0 means every row")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, type=_out_path)
     p.set_defaults(func=_cmd_analyze)
 
@@ -362,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="profile CSV to fit an effective player count to")
     p.add_argument("--fit-out", default=None, type=_out_path,
                    help="also write the fit result JSON here")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, type=_out_path)
     p.set_defaults(func=_cmd_theory)
 
@@ -370,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True,
                    help="CSV path or bundled:<name>")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="override the seed in the config file")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_train)
@@ -383,10 +398,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--step-size", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, type=_out_path)
     p.set_defaults(func=_cmd_attack)
     return parser
+
+
+def _openblas():
+    """Getter and setter of numpy's bundled OpenBLAS thread count, or None when absent."""
+    try:
+        from numpy._core import _multiarray_umath
+        # dlsym on the extension's handle also searches the libraries it links
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextlib.contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run the block with one OpenBLAS thread, then restore the previous count.
+
+    The matmuls here are small, and a second BLAS thread spins on them
+    without shortening them; results are the same at any BLAS thread count.
+    Does nothing when numpy's bundled OpenBLAS is not found.
+    """
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    previous = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(previous)
 
 
 def main(argv=None) -> int:

@@ -71,8 +71,8 @@ class ModulationSpec:
     """One loss term: encourage or suppress the orders inside [r1, r2].
 
     lam is the term's weight in the combined objective. pair_samples is the
-    number of (S1, S2) draws per input per step. seed, when set, pins this
-    term's sampling stream; otherwise the trainer derives one.
+    number of (S1, S2) draws per input per step; the draws come from a
+    stream derived from the step's seed, so each step samples new pairs.
     """
 
     kind: str
@@ -80,7 +80,6 @@ class ModulationSpec:
     r2: float
     lam: float
     pair_samples: int = 4
-    seed: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("encourage", "suppress"):
@@ -97,17 +96,14 @@ class ModulationSpec:
             raise ValidationError(f"pair_samples must be positive, got {self.pair_samples}")
 
     def to_json_dict(self) -> dict:
-        out = {"kind": self.kind, "r1": self.r1, "r2": self.r2,
-               "lambda": self.lam, "pair_samples": self.pair_samples}
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
+        return {"kind": self.kind, "r1": self.r1, "r2": self.r2,
+                "lambda": self.lam, "pair_samples": self.pair_samples}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ModulationSpec":
         if not isinstance(obj, dict):
             raise ValidationError("modulation term must be a JSON object")
-        known = {"kind", "r1", "r2", "lambda", "pair_samples", "seed"}
+        known = {"kind", "r1", "r2", "lambda", "pair_samples"}
         unknown = set(obj) - known
         if unknown:
             raise ValidationError(f"unknown modulation keys: {sorted(unknown)}")
@@ -119,7 +115,7 @@ class ModulationSpec:
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"modulation term has a non-numeric field: {exc}") from None
         return cls(kind=obj["kind"], r1=r1, r2=r2, lam=lam,
-                   pair_samples=obj.get("pair_samples", 4), seed=obj.get("seed"))
+                   pair_samples=obj.get("pair_samples", 4))
 
 
 @dataclass(frozen=True)
@@ -249,33 +245,30 @@ def _assemble_dlogits(ddelta: np.ndarray, ratio: float, pair_samples: int,
     return d.reshape(logits_shape)
 
 
-def _encourage(model, X, y, r1, r2, pair_samples, seed, baseline, need_grad):
+def _band_term(spec: ModulationSpec, model, X, y, seed, baseline, need_grad):
+    """One band loss on the batch and, when asked, its parameter gradients.
+
+    encourage: cross-entropy of the labels against softmax(delta); suppress:
+    negative entropy of softmax(delta), averaged over the batch (labels
+    unused, minimum -ln(classes)). spec.lam is not applied here.
+    """
     delta, ratio, trace, shape = _band_delta_logits(
-        model, X, baseline, r1, r2, pair_samples, seed, need_trace=need_grad)
-    loss = cross_entropy(delta, y)
+        model, X, baseline, spec.r1, spec.r2, spec.pair_samples, seed, need_trace=need_grad)
+    if spec.kind == "encourage":
+        loss = cross_entropy(delta, y)
+    else:
+        probs = softmax(delta)
+        plogp = xlogy(probs, probs)
+        loss = float(plogp.sum(axis=1).mean())
     if not np.isfinite(loss):
-        raise NumericError(f"encouraging loss is not finite: {loss}")
+        raise NumericError(f"{spec.kind} loss is not finite: {loss}")
     if not need_grad:
         return loss, None
-    dlogits = _assemble_dlogits(cross_entropy_grad(delta, y), ratio, pair_samples, shape)
-    grads = model.backward(trace, dlogits)
-    grads.inputs = None  # gradient is w.r.t. the masked stack, not the batch
-    return loss, grads
-
-
-def _suppress(model, X, y, r1, r2, pair_samples, seed, baseline, need_grad):
-    delta, ratio, trace, shape = _band_delta_logits(
-        model, X, baseline, r1, r2, pair_samples, seed, need_trace=need_grad)
-    probs = softmax(delta)
-    plogp = xlogy(probs, probs)
-    # negative entropy, averaged over the batch; minimum is -ln(classes)
-    loss = float(plogp.sum(axis=1).mean())
-    if not np.isfinite(loss):
-        raise NumericError(f"suppressing loss is not finite: {loss}")
-    if not need_grad:
-        return loss, None
-    ddelta = (plogp - probs * plogp.sum(axis=1, keepdims=True)) / len(delta)
-    dlogits = _assemble_dlogits(ddelta, ratio, pair_samples, shape)
+    if spec.kind == "encourage":
+        ddelta = cross_entropy_grad(delta, y)
+    else:
+        ddelta = (plogp - probs * plogp.sum(axis=1, keepdims=True)) / len(delta)
+    dlogits = _assemble_dlogits(ddelta, ratio, spec.pair_samples, shape)
     grads = model.backward(trace, dlogits)
     grads.inputs = None  # gradient is w.r.t. the masked stack, not the batch
     return loss, grads
@@ -284,23 +277,27 @@ def _suppress(model, X, y, r1, r2, pair_samples, seed, baseline, need_grad):
 def loss_encourage(model: MLP, X, y, r1: float, r2: float, pair_samples: int,
                    seed: int, baseline: Baseline) -> float:
     """Cross-entropy of the labels against softmax over per-class delta_u."""
-    return _encourage(model, X, y, r1, r2, pair_samples, seed, baseline, need_grad=False)[0]
+    spec = ModulationSpec("encourage", r1, r2, lam=1.0, pair_samples=pair_samples)
+    return _band_term(spec, model, X, y, seed, baseline, need_grad=False)[0]
 
 
 def loss_suppress(model: MLP, X, y, r1: float, r2: float, pair_samples: int,
                   seed: int, baseline: Baseline) -> float:
     """Negative entropy of softmax over per-class delta_u (labels unused)."""
-    return _suppress(model, X, y, r1, r2, pair_samples, seed, baseline, need_grad=False)[0]
+    spec = ModulationSpec("suppress", r1, r2, lam=1.0, pair_samples=pair_samples)
+    return _band_term(spec, model, X, y, seed, baseline, need_grad=False)[0]
 
 
 def encourage_value_and_grad(model: MLP, X, y, r1: float, r2: float, pair_samples: int,
                              seed: int, baseline: Baseline) -> tuple[float, ParamGrads]:
-    return _encourage(model, X, y, r1, r2, pair_samples, seed, baseline, need_grad=True)
+    spec = ModulationSpec("encourage", r1, r2, lam=1.0, pair_samples=pair_samples)
+    return _band_term(spec, model, X, y, seed, baseline, need_grad=True)
 
 
 def suppress_value_and_grad(model: MLP, X, y, r1: float, r2: float, pair_samples: int,
                             seed: int, baseline: Baseline) -> tuple[float, ParamGrads]:
-    return _suppress(model, X, y, r1, r2, pair_samples, seed, baseline, need_grad=True)
+    spec = ModulationSpec("suppress", r1, r2, lam=1.0, pair_samples=pair_samples)
+    return _band_term(spec, model, X, y, seed, baseline, need_grad=True)
 
 
 def combined_loss(model: MLP, X, y, terms: Sequence[ModulationSpec],
@@ -313,9 +310,9 @@ def combined_value_and_grad(model: MLP, X, y, terms: Sequence[ModulationSpec],
                             need_grad: bool = True) -> tuple[float, ParamGrads | None]:
     """Classification cross-entropy plus every weighted modulation term.
 
-    Term t samples from its own pinned seed when the spec carries one,
-    otherwise from a stream derived as (seed, t). Gradient accumulation
-    follows the fixed term order.
+    Term t samples its pairs from the stream derived as (seed, t), so every
+    term draws new pairs at every step. Gradient accumulation follows the
+    fixed term order.
     """
     X = np.asarray(X, dtype=float)
     if need_grad:
@@ -326,10 +323,8 @@ def combined_value_and_grad(model: MLP, X, y, terms: Sequence[ModulationSpec],
     for t, spec in enumerate(terms):
         if spec.lam == 0:
             continue
-        term_seed = spec.seed if spec.seed is not None else child_seed(seed, t)
-        fn = _encourage if spec.kind == "encourage" else _suppress
-        value, term_grads = fn(model, X, y, spec.r1, spec.r2, spec.pair_samples,
-                               term_seed, baseline, need_grad)
+        value, term_grads = _band_term(spec, model, X, y, child_seed(seed, t),
+                                       baseline, need_grad)
         total += spec.lam * value
         if need_grad:
             grads.add_scaled(term_grads, spec.lam)

@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import DomainError, GuardError, ValidationError
 from .interactions import OrderProfile
-from .parallel import ordered_map
 from .rng import make_rng
 from .textio import format_float, read_csv, write_csv
 
@@ -136,8 +135,8 @@ def simulate_learning_strength(cfg: GradSimConfig, m: int) -> float:
     Each trial draws u(m) independent gaussian context gradients for one
     generic pair (the distribution does not depend on which pair), averages
     them, applies the (n - m - 1) / (n (n - 1)) coefficient, and records the
-    L2 norm; trials use derived per-trial streams and are reduced in trial
-    order, so the result is identical for any worker count.
+    L2 norm. Trial t draws from the stream (seed, m, t) and the trials run
+    one after another in trial order.
     """
     u = contextual_variability(cfg.n, m)
     if u > MAX_SIMULATED_CONTEXTS:
@@ -145,12 +144,10 @@ def simulate_learning_strength(cfg: GradSimConfig, m: int) -> float:
             f"order {m} has {u} contexts, above the {MAX_SIMULATED_CONTEXTS} "
             "limit; subsample contexts instead of materializing them")
     coeff = (cfg.n - m - 1) / (cfg.n * (cfg.n - 1))
-
-    def one_trial(t: int) -> float:
+    norms = []
+    for t in range(cfg.trials):
         g = make_rng(cfg.seed, m, t).normal(0.0, cfg.sigma, size=(u, cfg.k))
-        return float(np.linalg.norm(coeff * g.mean(axis=0)))
-
-    norms = ordered_map(one_trial, range(cfg.trials))
+        norms.append(float(np.linalg.norm(coeff * g.mean(axis=0))))
     return float(np.mean(norms))
 
 

@@ -52,7 +52,11 @@ VARIANT_TERMS: dict[str, tuple[ModulationSpec, ...]] = {
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything a run needs besides the data itself."""
+    """Everything a run needs besides the data itself.
+
+    val_fraction is the share of rows held out for validation; the rest
+    trains. Every loss term draws its pairs from the step's derived stream.
+    """
 
     epochs: int
     batch_size: int
@@ -61,13 +65,12 @@ class TrainConfig:
     hidden_sizes: tuple[int, ...] = (48, 48)
     terms: tuple[ModulationSpec, ...] = ()
     snapshot_every: int = 0
-    train_fraction: float = 0.75
     val_fraction: float = 0.25
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "seed", "snapshot_every"):
             _require(name, getattr(self, name), Integral)
-        for name in ("learning_rate", "train_fraction", "val_fraction"):
+        for name in ("learning_rate", "val_fraction"):
             _require(name, getattr(self, name), Real)
         if not isinstance(self.hidden_sizes, (list, tuple)):
             raise ValidationError(f"hidden_sizes must be a list, got {self.hidden_sizes!r}")
@@ -90,12 +93,8 @@ class TrainConfig:
         for term in self.terms:
             if not isinstance(term, ModulationSpec):
                 raise ValidationError(f"terms must be ModulationSpec, got {type(term)!r}")
-        if not (0 < self.train_fraction < 1 and 0 < self.val_fraction < 1):
-            raise ValidationError("split fractions must lie in (0, 1)")
-        if abs(self.train_fraction + self.val_fraction - 1.0) > 1e-9:
-            raise ValidationError(
-                f"split fractions must sum to 1, got "
-                f"{self.train_fraction} + {self.val_fraction}")
+        if not 0 < self.val_fraction < 1:
+            raise ValidationError(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
 
 
 def _require(name: str, value, kind) -> None:

@@ -305,6 +305,15 @@ def _analyze(*flags):
                                "--fit-out", str(t / "f.json")], id="fit-out-without-fit"),
     pytest.param(_analyze("--rows", "-1"), id="negative-rows"),
     pytest.param(_analyze("--pairs", "-3"), id="negative-pairs"),
+    pytest.param(_analyze("--seed", "-3"), id="analyze-negative-seed"),
+    pytest.param(lambda w, t: ["attack", "--model", str(w / "run" / "model.json"),
+                               "--data", str(w / "task.csv"), "--eps", "0.1",
+                               "--seed", "-3"], id="attack-negative-seed"),
+    pytest.param(lambda w, t: ["theory", "--n", "6", "--seed", "-3",
+                               "--out", str(t / "curve.csv")], id="theory-negative-seed"),
+    pytest.param(_train({"terms": [{"kind": "suppress", "r1": 0.7, "r2": 1.0, "lambda": 1.0,
+                                    "seed": 5}]}), id="term-seed"),
+    pytest.param(_train({"train_fraction": 0.75}), id="train-fraction"),
 ])
 def test_malformed_input_is_one_error_line(argv, workdir, tmp_path, capsys):
     code = main(argv(workdir, tmp_path))
@@ -315,7 +324,7 @@ def test_malformed_input_is_one_error_line(argv, workdir, tmp_path, capsys):
 
 def test_commands_run_on_one_blas_thread_and_restore_the_count(tmp_path, monkeypatch):
     from interaction_lab import cli
-    from interaction_lab.parallel import _openblas
+    from interaction_lab.cli import _openblas
 
     blas = _openblas()
     if blas is None:

@@ -182,20 +182,18 @@ def test_order_profile_degenerate_on_additive():
     assert all(v == 0.0 for v in profile.normalized)
 
 
-def test_model_profile_is_thread_count_invariant(monkeypatch):
+def test_model_profile_is_rerun_identical():
     # MLP.forward is not bitwise batch-invariant, so a model-backed game (not a
-    # closed-form one) is needed to expose batches that depend on scheduling.
+    # closed-form one) is needed to expose batches that change between runs.
     # n=10 reads a value table; n=17 evaluates one batch per (pair, order).
     for n in (10, 17):
         game = LogOddsGame(MLP([n, 32, 32, 2], seed=7), Baseline.zeros(n))
         sample = (np.random.default_rng(3).normal(size=n), 1)
         # at n=17: 30 pairs; 16 contexts enumerate the outermost orders and sample the rest
         kwargs = dict(pair_budget=30, subset_budget=16, seed=11)
-        monkeypatch.setenv("INTERACTION_LAB_THREADS", "4")
-        threaded = [order_profile(game, [sample], **kwargs).strengths for _ in range(3)]
-        monkeypatch.setenv("INTERACTION_LAB_THREADS", "1")
-        serial = order_profile(game, [sample], **kwargs).strengths
-        assert all(s == serial for s in threaded)
+        reruns = [order_profile(game, [sample], **kwargs).strengths for _ in range(3)]
+        first = order_profile(game, [sample], **kwargs).strengths
+        assert all(s == first for s in reruns)
 
 
 @pytest.mark.parametrize("n", [8, 10])

@@ -18,6 +18,7 @@ from interaction_lab import (
     ValidationError,
     band_sizes,
     ce_value_and_grad,
+    child_seed,
     combined_loss,
     combined_value_and_grad,
     delta_u,
@@ -75,7 +76,7 @@ def test_modulation_spec_validation():
 
 
 def test_modulation_spec_json_round_trip():
-    spec = ModulationSpec(kind="suppress", r1=0.7, r2=1.0, lam=2.0, pair_samples=8, seed=5)
+    spec = ModulationSpec(kind="suppress", r1=0.7, r2=1.0, lam=2.0, pair_samples=8)
     again = ModulationSpec.from_json_dict(spec.to_json_dict())
     assert again == spec
     with pytest.raises(ValidationError):
@@ -349,10 +350,9 @@ def test_combined_loss_degenerate_and_linear():
     plain, _ = ce_value_and_grad(model, X, y)
     assert combined_loss(model, X, y, zero_terms, 5, base) == pytest.approx(plain)
 
-    pinned = (ModulationSpec(kind="encourage", r1=0.3, r2=0.7, lam=1.0,
-                             pair_samples=3, seed=77),)
-    total = combined_loss(model, X, y, pinned, 5, base)
-    separate = plain + loss_encourage(model, X, y, 0.3, 0.7, 3, 77, base)
+    terms = (ModulationSpec(kind="encourage", r1=0.3, r2=0.7, lam=1.0, pair_samples=3),)
+    total = combined_loss(model, X, y, terms, 5, base)
+    separate = plain + loss_encourage(model, X, y, 0.3, 0.7, 3, child_seed(5, 0), base)
     assert total == pytest.approx(separate)
 
 

@@ -116,12 +116,10 @@ def test_simulated_ratios_match_curve():
         assert sims[m] / sims[0] == pytest.approx(curve.f_hat[m], rel=0.08)
 
 
-def test_simulator_deterministic_and_worker_invariant(monkeypatch):
+def test_simulator_is_deterministic():
     cfg = GradSimConfig(n=9, k=20, sigma=0.5, trials=50, seed=4)
     a = simulate_learning_strength(cfg, 4)
-    monkeypatch.setenv("INTERACTION_LAB_THREADS", "3")
     b = simulate_learning_strength(cfg, 4)
-    monkeypatch.setenv("INTERACTION_LAB_THREADS", "1")
     c = simulate_learning_strength(cfg, 4)
     assert a == b == c
 

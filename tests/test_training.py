@@ -43,9 +43,6 @@ def test_train_config_validation():
                     snapshot_every=-1)
     with pytest.raises(ValidationError):
         TrainConfig(epochs=1, batch_size=8, learning_rate=0.1, seed=0,
-                    train_fraction=0.8, val_fraction=0.25)
-    with pytest.raises(ValidationError):
-        TrainConfig(epochs=1, batch_size=8, learning_rate=0.1, seed=0,
                     terms=("suppress",))
 
 
