@@ -25,7 +25,6 @@ from .interactions import (
     LogOddsGame,
     OrderProfile,
     default_order_grid,
-    delta_v,
     efficiency_residual,
     efficiency_weight,
     interaction_order_exact,
@@ -51,17 +50,12 @@ from .mlp import (
 )
 from .modulation import (
     ModulationSpec,
-    OrderWeights,
     band_sizes,
-    combined_loss,
+    band_value_and_grad,
     combined_value_and_grad,
     delta_u,
-    encourage_value_and_grad,
-    loss_encourage,
-    loss_suppress,
     order_weights,
     round_half_up,
-    suppress_value_and_grad,
     theorem2_weight,
     verify_theorem2,
 )
@@ -87,7 +81,6 @@ from .training import (
     VARIANT_TERMS,
     read_train_log,
     train,
-    variant_config,
     write_snapshots,
     write_train_log,
 )

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import TabularDataset
 from .errors import DomainError, ValidationError
 from .mlp import MLP, accuracy, ce_value_and_grad
 
@@ -36,14 +35,13 @@ class AttackConfig:
 
 
 def pgd_attack(model: MLP, x, y, cfg: AttackConfig) -> np.ndarray:
-    """Adversarial version of x; works on one row or a batch.
+    """Adversarial version of the (rows, features) batch x.
 
     Every output satisfies ||x_adv - x||_inf <= epsilon exactly. steps=0
     returns the input unchanged.
     """
-    single = np.asarray(x).ndim == 1
-    x0 = np.atleast_2d(np.asarray(x, dtype=float))
-    labels = np.atleast_1d(np.asarray(y, dtype=int))
+    x0 = np.asarray(x, dtype=float)
+    labels = np.asarray(y, dtype=int)
     if len(labels) != len(x0):
         raise DomainError(f"{len(labels)} labels for {len(x0)} rows")
     lo, hi = x0 - cfg.epsilon, x0 + cfg.epsilon
@@ -51,21 +49,16 @@ def pgd_attack(model: MLP, x, y, cfg: AttackConfig) -> np.ndarray:
     for _ in range(cfg.steps):
         _, grads = ce_value_and_grad(model, adv, labels)
         adv = np.clip(adv + cfg.step_size * np.sign(grads.inputs), lo, hi)
-    return adv[0] if single else adv
+    return adv
 
 
-def adversarial_accuracy(model: MLP, dataset, cfg: AttackConfig) -> float:
+def adversarial_accuracy(model: MLP, X, y, cfg: AttackConfig) -> float:
     """Percentage of rows still classified correctly after the attack.
 
-    dataset is a TabularDataset or a plain (features, labels) pair; features
-    must already live in the model's input space.
+    X must already live in the model's input space.
     """
-    if isinstance(dataset, TabularDataset):
-        X, y = dataset.features, dataset.labels
-    else:
-        X, y = dataset
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
     if len(X) == 0:
         raise DomainError("evaluation set must not be empty")
     adv = pgd_attack(model, X, y, cfg)

@@ -10,8 +10,10 @@ starts no worker threads, and numpy's bundled OpenBLAS is held to one thread
 for the duration of the command.
 
 Errors leave on stderr as one machine-parsable line, `error: <kind>: <text>`,
-with the exit code encoding the kind: 1 for validation/schema problems, 2 for
-verification failures, 3 for numeric failures.
+with the exit code encoding the kind: 1 for validation/schema problems and
+for files that cannot be read, decoded as UTF-8 or written, 2 for
+verification failures, 3 for numeric failures. Every text file is read and
+written as UTF-8 whatever the locale.
 """
 from __future__ import annotations
 
@@ -71,7 +73,7 @@ def _file_sha256(path) -> str:
 
 
 def _write_json(path, obj: dict) -> None:
-    Path(path).write_text(json.dumps(obj, sort_keys=True) + "\n", newline="")
+    Path(path).write_text(json.dumps(obj, sort_keys=True) + "\n", encoding="utf-8", newline="")
 
 
 def _seed(text: str) -> int:
@@ -249,7 +251,7 @@ def _cmd_theory(args) -> int:
 
 def _load_train_config(path, seed_override: int | None) -> tuple[TrainConfig, str, dict]:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     try:
@@ -324,7 +326,7 @@ def _cmd_attack(args) -> int:
     features, _ = _model_input_space(model, dataset)
     cfg = AttackConfig(epsilon=args.eps, steps=args.steps, step_size=args.step_size)
     clean = 100.0 * accuracy(model.forward(features), dataset.labels)
-    adv = adversarial_accuracy(model, (features, dataset.labels), cfg)
+    adv = adversarial_accuracy(model, features, dataset.labels, cfg)
     resolved = {"command": "attack", "model_sha256": _file_sha256(args.model),
                 "data": str(args.data),
                 "label_column": args.label_column, "eps": args.eps,
@@ -446,7 +448,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         with one_blas_thread():
             return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError, UnicodeDecodeError) as exc:
+        # a file that cannot be read or written is bad input like any other
         print(f"error: validation: {_one_line(exc)}", file=sys.stderr)
         return 1
     except VerificationError as exc:

@@ -101,7 +101,7 @@ def load_dataset_csv(path, label_column: str) -> TabularDataset:
     data row and the column.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             lines = [row for row in csv.reader(fh)]
     except OSError as exc:
         raise ValidationError(f"cannot read dataset {path}: {exc}") from exc
@@ -163,7 +163,7 @@ def write_dataset_csv(path, dataset: TabularDataset, meta=None) -> None:
         cells = [format_float(v) for v in row]
         cells.append(dataset.label_values[label])
         lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", newline="")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
 
 
 def standardize(dataset: TabularDataset) -> tuple[TabularDataset, np.ndarray, np.ndarray]:

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError, GuardError, SchemaError, ValidationError
-from .games import (Baseline, ValueFunction, as_masks, check_player_count, masked_matrix,
+from .games import (Baseline, ValueFunction, check_player_count, masked_matrix,
                     sample_subsets)
 from .rng import child_seed, make_rng
 from .textio import format_float, read_csv, write_csv
@@ -194,15 +194,6 @@ def enumerated_contexts(n: int, i: int, j: int, m: int) -> np.ndarray:
     pool = [k for k in range(n) if k != lo and k != hi]
     return np.array([sum(1 << k for k in combo) for combo in itertools.combinations(pool, m)],
                     dtype=np.uint64)
-
-
-def delta_v(game: ValueFunction, i: int, j: int, S: int, x=None) -> float:
-    """Second-order difference of v at the context mask S; S must exclude both players."""
-    lo, hi = _check_pair(game.n, i, j)
-    context = as_masks([S], game.n)
-    if context[0] & np.uint64((1 << lo) | (1 << hi)):
-        raise DomainError("context must not contain either player of the pair")
-    return float(_deltas(evaluate(game, _corners(context, lo, hi), x))[0])
 
 
 def interaction_order_exact(game: ValueFunction, i: int, j: int, m: int,
@@ -393,16 +384,15 @@ class LogOddsGame(ValueFunction):
 
     v(S | x) = z_target - logsumexp(z_other), the log odds p/(1-p) of the
     target class, where z is the logit vector the model produces on the
-    sample with players outside S replaced by the baseline. A sample is a
-    (features, target) pair; a default sample may be fixed at construction.
-    The model only needs a forward(X) -> (rows, classes) method.
+    sample with players outside S replaced by the baseline. Each call takes
+    its sample as a (features, target) pair. The model only needs a
+    forward(X) -> (rows, classes) method.
     """
 
-    def __init__(self, model, baseline: Baseline, sample=None):
+    def __init__(self, model, baseline: Baseline):
         self.model = model
         self.baseline = baseline
         self.n = check_player_count(len(baseline))
-        self.sample = self._checked(sample) if sample is not None else None
 
     def _checked(self, sample) -> tuple[np.ndarray, int]:
         try:
@@ -420,12 +410,7 @@ class LogOddsGame(ValueFunction):
         return features, target
 
     def evaluate_many(self, bits, x=None) -> np.ndarray:
-        if x is None:
-            if self.sample is None:
-                raise ValidationError("no sample given and no default sample set")
-            features, target = self.sample
-        else:
-            features, target = self._checked(x)
+        features, target = self._checked(x)
         rows = masked_matrix(features, bits, self.baseline)
         logits = np.asarray(self.model.forward(rows), dtype=float)
         if logits.ndim != 2 or logits.shape[0] != len(rows):

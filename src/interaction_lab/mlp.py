@@ -3,7 +3,8 @@
 Hidden layers use ReLU (subgradient 0 at the kink, for determinism), the
 output layer is identity, so the network emits raw class logits. Gradients
 are computed by explicit backpropagation rather than an autodiff framework;
-every loss exposed by the library is finite-difference checked against this
+the library's three losses, ce_value_and_grad, band_value_and_grad and
+combined_value_and_grad, are finite-difference checked against this
 implementation, so keep forward and backward in lockstep when editing.
 """
 from __future__ import annotations
@@ -42,15 +43,20 @@ class ParamGrads:
             self.inputs = self.inputs + factor * other.inputs
 
 
+def _checked_sizes(layer_sizes: Sequence[int]) -> tuple[int, ...]:
+    sizes = tuple(int(s) for s in layer_sizes)
+    if len(sizes) < 2:
+        raise ValidationError(f"need at least input and output layers, got {sizes}")
+    if any(s < 1 for s in sizes):
+        raise ValidationError(f"layer sizes must be positive, got {sizes}")
+    return sizes
+
+
 class MLP:
     """Feed-forward network: X @ W + b per layer, ReLU between, logits out."""
 
     def __init__(self, layer_sizes: Sequence[int], seed: int = 0):
-        sizes = tuple(int(s) for s in layer_sizes)
-        if len(sizes) < 2:
-            raise ValidationError(f"need at least input and output layers, got {sizes}")
-        if any(s < 1 for s in sizes):
-            raise ValidationError(f"layer sizes must be positive, got {sizes}")
+        sizes = _checked_sizes(layer_sizes)
         self.layer_sizes = sizes
         self.seed = int(seed)
         self.meta: dict = {}
@@ -65,18 +71,24 @@ class MLP:
     @classmethod
     def from_params(cls, layer_sizes: Sequence[int], weights: Sequence[np.ndarray],
                     biases: Sequence[np.ndarray], seed: int = 0) -> "MLP":
-        model = cls(layer_sizes, seed=seed)
-        if len(weights) != len(model.weights) or len(biases) != len(model.biases):
+        """A model holding copies of the given parameters.
+
+        Every count and shape is checked against layer_sizes before anything
+        is allocated, so a file that declares huge layers fails at once.
+        """
+        sizes = _checked_sizes(layer_sizes)
+        if len(weights) != len(sizes) - 1 or len(biases) != len(sizes) - 1:
             raise DimensionError("parameter list lengths do not match the architecture")
+        weights = [np.array(w, dtype=float) for w in weights]
+        biases = [np.array(b, dtype=float) for b in biases]
         for l, (w, b) in enumerate(zip(weights, biases)):
-            w = np.asarray(w, dtype=float)
-            b = np.asarray(b, dtype=float)
-            if w.shape != model.weights[l].shape or b.shape != model.biases[l].shape:
+            if w.shape != sizes[l:l + 2] or b.shape != sizes[l + 1:l + 2]:
                 raise DimensionError(
-                    f"layer {l} expects shapes {model.weights[l].shape}/"
-                    f"{model.biases[l].shape}, got {w.shape}/{b.shape}")
-            model.weights[l] = w.copy()
-            model.biases[l] = b.copy()
+                    f"layer {l} expects shapes {sizes[l:l + 2]}/"
+                    f"{sizes[l + 1:l + 2]}, got {w.shape}/{b.shape}")
+        model = cls.__new__(cls)
+        model.layer_sizes, model.seed, model.meta = sizes, int(seed), {}
+        model.weights, model.biases = weights, biases
         return model
 
     @property
@@ -86,11 +98,6 @@ class MLP:
     @property
     def num_features(self) -> int:
         return self.layer_sizes[0]
-
-    def copy(self) -> "MLP":
-        clone = MLP.from_params(self.layer_sizes, self.weights, self.biases, seed=self.seed)
-        clone.meta = dict(self.meta)
-        return clone
 
     def _check_input(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)

@@ -20,7 +20,9 @@ per-order interactions read from a full value table.
 Two training losses act through the per-class version of the signal: the
 encouraging loss classifies with softmax(delta_u_c) (forcing the banded
 orders to carry label information), and the suppressing loss maximizes the
-entropy of that softmax (draining them). At r1 = 0 the s2/s1 ratio is
+entropy of that softmax (draining them). band_value_and_grad returns one
+term's loss with its parameter gradient, and combined_value_and_grad adds
+the weighted terms to the plain cross-entropy. At r1 = 0 the s2/s1 ratio is
 undefined; the documented convention is delta_u(0, r2) = E[v(S2)] - v(empty),
 and the closed-form weight refuses r1 = 0 outright.
 """
@@ -118,16 +120,6 @@ class ModulationSpec:
                    pair_samples=obj.get("pair_samples", 4))
 
 
-@dataclass(frozen=True)
-class OrderWeights:
-    """Closed-form per-order weights of delta_u for one fraction band."""
-
-    n: int
-    r1: float
-    r2: float
-    weights: tuple[float, ...]
-
-
 def theorem2_weight(n: int, r1: float, r2: float, m: int) -> float:
     """Weight of order-m interactions (ordered pairs) in delta_u's expansion.
 
@@ -153,10 +145,9 @@ def theorem2_weight(n: int, r1: float, r2: float, m: int) -> float:
     return 0.0
 
 
-def order_weights(n: int, r1: float, r2: float) -> OrderWeights:
+def order_weights(n: int, r1: float, r2: float) -> np.ndarray:
     """theorem2_weight at every order 0..n-2."""
-    return OrderWeights(n=n, r1=r1, r2=r2,
-                        weights=tuple(theorem2_weight(n, r1, r2, m) for m in range(n - 1)))
+    return np.array([theorem2_weight(n, r1, r2, m) for m in range(n - 1)])
 
 
 def _effective_ratio(s1: int, s2: int) -> float:
@@ -206,15 +197,13 @@ def delta_u(game: ValueFunction, r1: float, r2: float, pair_samples: int, seed: 
 
 
 def _band_delta_logits(model: MLP, X: np.ndarray, baseline: Baseline,
-                       r1: float, r2: float, pair_samples: int, seed: int,
-                       need_trace: bool):
+                       r1: float, r2: float, pair_samples: int, seed: int):
     """Per-row, per-class delta_u matrix, plus what backward needs.
 
     One generator, make_rng(seed, _ROW_STREAM), draws all batch *
     pair_samples pairs; row b takes pairs [Pb, P(b+1)). For each row the
-    same drawn pairs serve every class. Returns (delta,
-    ratio, trace, logits_shape) where delta has shape (batch, classes);
-    trace is None unless requested.
+    same drawn pairs serve every class. Returns (delta, ratio, trace,
+    logits_shape) where delta has shape (batch, classes).
     """
     n = len(baseline)
     X = np.asarray(X, dtype=float)
@@ -227,10 +216,7 @@ def _band_delta_logits(model: MLP, X: np.ndarray, baseline: Baseline,
     pairs = _sample_pairs(n, s1, s2, batch * pair_samples, make_rng(seed, _ROW_STREAM))
     bits = pairs.reshape(2, batch, pair_samples).transpose(1, 0, 2)
     stacked = masked_matrix(np.repeat(X, 2 * pair_samples, axis=0), bits.reshape(-1), baseline)
-    if need_trace:
-        logits, trace = model.forward_trace(stacked)
-    else:
-        logits, trace = model.forward(stacked), None
+    logits, trace = model.forward_trace(stacked)
     shaped = logits.reshape(batch, 2, pair_samples, model.num_classes)
     delta = shaped[:, 1].mean(axis=1) - ratio * shaped[:, 0].mean(axis=1)
     return delta, ratio, trace, logits.shape
@@ -245,15 +231,16 @@ def _assemble_dlogits(ddelta: np.ndarray, ratio: float, pair_samples: int,
     return d.reshape(logits_shape)
 
 
-def _band_term(spec: ModulationSpec, model, X, y, seed, baseline, need_grad):
-    """One band loss on the batch and, when asked, its parameter gradients.
+def band_value_and_grad(spec: ModulationSpec, model: MLP, X, y, seed: int,
+                        baseline: Baseline) -> tuple[float, ParamGrads]:
+    """One band loss on the batch and its parameter gradients.
 
     encourage: cross-entropy of the labels against softmax(delta); suppress:
     negative entropy of softmax(delta), averaged over the batch (labels
     unused, minimum -ln(classes)). spec.lam is not applied here.
     """
     delta, ratio, trace, shape = _band_delta_logits(
-        model, X, baseline, spec.r1, spec.r2, spec.pair_samples, seed, need_trace=need_grad)
+        model, X, baseline, spec.r1, spec.r2, spec.pair_samples, seed)
     if spec.kind == "encourage":
         loss = cross_entropy(delta, y)
     else:
@@ -262,8 +249,6 @@ def _band_term(spec: ModulationSpec, model, X, y, seed, baseline, need_grad):
         loss = float(plogp.sum(axis=1).mean())
     if not np.isfinite(loss):
         raise NumericError(f"{spec.kind} loss is not finite: {loss}")
-    if not need_grad:
-        return loss, None
     if spec.kind == "encourage":
         ddelta = cross_entropy_grad(delta, y)
     else:
@@ -274,40 +259,8 @@ def _band_term(spec: ModulationSpec, model, X, y, seed, baseline, need_grad):
     return loss, grads
 
 
-def loss_encourage(model: MLP, X, y, r1: float, r2: float, pair_samples: int,
-                   seed: int, baseline: Baseline) -> float:
-    """Cross-entropy of the labels against softmax over per-class delta_u."""
-    spec = ModulationSpec("encourage", r1, r2, lam=1.0, pair_samples=pair_samples)
-    return _band_term(spec, model, X, y, seed, baseline, need_grad=False)[0]
-
-
-def loss_suppress(model: MLP, X, y, r1: float, r2: float, pair_samples: int,
-                  seed: int, baseline: Baseline) -> float:
-    """Negative entropy of softmax over per-class delta_u (labels unused)."""
-    spec = ModulationSpec("suppress", r1, r2, lam=1.0, pair_samples=pair_samples)
-    return _band_term(spec, model, X, y, seed, baseline, need_grad=False)[0]
-
-
-def encourage_value_and_grad(model: MLP, X, y, r1: float, r2: float, pair_samples: int,
-                             seed: int, baseline: Baseline) -> tuple[float, ParamGrads]:
-    spec = ModulationSpec("encourage", r1, r2, lam=1.0, pair_samples=pair_samples)
-    return _band_term(spec, model, X, y, seed, baseline, need_grad=True)
-
-
-def suppress_value_and_grad(model: MLP, X, y, r1: float, r2: float, pair_samples: int,
-                            seed: int, baseline: Baseline) -> tuple[float, ParamGrads]:
-    spec = ModulationSpec("suppress", r1, r2, lam=1.0, pair_samples=pair_samples)
-    return _band_term(spec, model, X, y, seed, baseline, need_grad=True)
-
-
-def combined_loss(model: MLP, X, y, terms: Sequence[ModulationSpec],
-                  seed: int, baseline: Baseline) -> float:
-    return combined_value_and_grad(model, X, y, terms, seed, baseline, need_grad=False)[0]
-
-
 def combined_value_and_grad(model: MLP, X, y, terms: Sequence[ModulationSpec],
-                            seed: int, baseline: Baseline,
-                            need_grad: bool = True) -> tuple[float, ParamGrads | None]:
+                            seed: int, baseline: Baseline) -> tuple[float, ParamGrads]:
     """Classification cross-entropy plus every weighted modulation term.
 
     Term t samples its pairs from the stream derived as (seed, t), so every
@@ -315,19 +268,14 @@ def combined_value_and_grad(model: MLP, X, y, terms: Sequence[ModulationSpec],
     fixed term order.
     """
     X = np.asarray(X, dtype=float)
-    if need_grad:
-        total, grads = ce_value_and_grad(model, X, y)
-    else:
-        logits = model.forward(X)
-        total, grads = cross_entropy(logits, y), None
+    total, grads = ce_value_and_grad(model, X, y)
     for t, spec in enumerate(terms):
         if spec.lam == 0:
             continue
-        value, term_grads = _band_term(spec, model, X, y, child_seed(seed, t),
-                                       baseline, need_grad)
+        value, term_grads = band_value_and_grad(spec, model, X, y, child_seed(seed, t),
+                                                baseline)
         total += spec.lam * value
-        if need_grad:
-            grads.add_scaled(term_grads, spec.lam)
+        grads.add_scaled(term_grads, spec.lam)
     return total, grads
 
 
@@ -350,7 +298,7 @@ def verify_theorem2(n: int, r1: float, r2: float, num_games: int, seed: int) -> 
 
     s1, s2 = band_sizes(n, r1, r2)
     ratio = _effective_ratio(s1, s2)
-    weights = np.array(order_weights(n, r1, r2).weights)
+    weights = order_weights(n, r1, r2)
     worst = 0.0
     for g in range(num_games):
         spec = SyntheticGame.random_polynomial(

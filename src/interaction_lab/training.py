@@ -119,16 +119,6 @@ class TrainLog:
     snapshots: dict[int, OrderProfile] = field(default_factory=dict)
 
 
-def variant_config(name: str, **overrides) -> TrainConfig:
-    """Named recipes differing only in their loss terms."""
-    if name not in VARIANT_TERMS:
-        raise ValidationError(f"unknown variant {name!r}; choose from {sorted(VARIANT_TERMS)}")
-    defaults = dict(epochs=60, batch_size=32, learning_rate=0.1, seed=0,
-                    terms=VARIANT_TERMS[name])
-    defaults.update(overrides)
-    return TrainConfig(**defaults)
-
-
 def _probe_profile(model: MLP, probe_X: np.ndarray, probe_y: np.ndarray,
                    baseline: Baseline, seed: int) -> OrderProfile:
     n = probe_X.shape[1]

@@ -23,25 +23,21 @@ from interaction_lab import (
     ModulationSpec,
     SyntheticGame,
     argmin_order,
+    band_value_and_grad,
     ce_value_and_grad,
-    combined_loss,
     combined_value_and_grad,
     cross_entropy,
     efficiency_residual,
-    encourage_value_and_grad,
     flatten_grads,
     get_flat_params,
     interaction_order_exact,
     interaction_order_mc,
     learning_strength_hat,
-    loss_encourage,
-    loss_suppress,
     read_profile_csv,
     read_train_log,
     round_half_up,
     set_flat_params,
     simulate_curve,
-    suppress_value_and_grad,
     synthetic_game,
     theory_curve,
     verify_theorem2,
@@ -207,21 +203,23 @@ def test_06_loss_gradients_match_finite_differences():
     _fd_check(model, lambda: float(cross_entropy(model.forward(X), y)), grads)
 
     model, X, y, base = _grad_fixture(seed=102)
-    _, grads = encourage_value_and_grad(model, X, y, 0.3, 0.7, 2, 7, base)
+    spec = ModulationSpec("encourage", 0.3, 0.7, 1.0, 2)
+    _, grads = band_value_and_grad(spec, model, X, y, 7, base)
     _fd_check(model,
-              lambda: loss_encourage(model, X, y, 0.3, 0.7, 2, 7, base), grads)
+              lambda: band_value_and_grad(spec, model, X, y, 7, base)[0], grads)
 
     model, X, y, base = _grad_fixture(seed=103)
-    _, grads = suppress_value_and_grad(model, X, y, 0.7, 1.0, 2, 8, base)
+    spec = ModulationSpec("suppress", 0.7, 1.0, 1.0, 2)
+    _, grads = band_value_and_grad(spec, model, X, y, 8, base)
     _fd_check(model,
-              lambda: loss_suppress(model, X, y, 0.7, 1.0, 2, 8, base), grads)
+              lambda: band_value_and_grad(spec, model, X, y, 8, base)[0], grads)
 
     model, X, y, base = _grad_fixture(seed=104)
     terms = [ModulationSpec("encourage", 0.3, 0.7, 0.5),
              ModulationSpec("suppress", 0.7, 1.0, 0.7)]
     _, grads = combined_value_and_grad(model, X, y, terms, 9, base)
     _fd_check(model,
-              lambda: combined_loss(model, X, y, terms, 9, base), grads)
+              lambda: combined_value_and_grad(model, X, y, terms, 9, base)[0], grads)
 
     assert time.monotonic() - start < 60
 

@@ -54,15 +54,6 @@ def test_attack_respects_budget_exactly():
     assert gap > 0.2
 
 
-def test_attack_accepts_single_row():
-    model, X, y = _trained()
-    cfg = AttackConfig(epsilon=0.1, steps=5, step_size=0.05)
-    adv = pgd_attack(model, X[0], y[:1], cfg)
-    assert adv.shape == X[0].shape
-    batch = pgd_attack(model, X[:1], y[:1], cfg)
-    assert np.array_equal(batch[0], adv)
-
-
 def test_attack_is_deterministic():
     model, X, y = _trained()
     cfg = AttackConfig(epsilon=0.3, steps=20, step_size=0.01)
@@ -76,7 +67,7 @@ def test_attack_degrades_accuracy():
     clean_logits = model.forward(X)
     clean = (clean_logits.argmax(axis=1) == y).mean() * 100
     cfg = AttackConfig(epsilon=0.5, steps=30, step_size=0.05)
-    attacked = adversarial_accuracy(model, (X, y), cfg)
+    attacked = adversarial_accuracy(model, X, y, cfg)
     assert 0.0 <= attacked <= 100.0
     assert attacked < clean
 
@@ -86,6 +77,6 @@ def test_adversarial_accuracy_on_plain_pair():
     X = make_rng(3).normal(size=(10, 4))
     y = np.zeros(10, dtype=int)
     cfg = AttackConfig(epsilon=0.1, steps=0, step_size=0.01)
-    val = adversarial_accuracy(model, (X, y), cfg)
+    val = adversarial_accuracy(model, X, y, cfg)
     logits = model.forward(X)
     assert val == pytest.approx((logits.argmax(axis=1) == 0).mean() * 100)

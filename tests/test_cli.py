@@ -1,9 +1,14 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import interaction_lab
 from interaction_lab import MLP, make_pairwise_task, save_model, write_dataset_csv
 from interaction_lab.cli import main
 
@@ -281,6 +286,29 @@ def _saved(command, *flags):
     return argv
 
 
+def _out_dir_is_file(workdir, tmp_path):
+    argv = _train({})(workdir, tmp_path)
+    (tmp_path / "run").write_text("")
+    return argv
+
+
+def _not_utf8(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe not utf-8\n")
+    return str(path)
+
+
+def _huge_layer_sizes(workdir, tmp_path):
+    # 10**15 hidden units are far beyond any address space, so a model built
+    # before its shapes are checked fails at once instead of filling memory
+    model = json.loads((workdir / "run" / "model.json").read_text())
+    model["layer_sizes"] = [6, 10**15, 2]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(model))
+    return ["analyze", "--model", str(path), "--data", str(workdir / "task.csv"),
+            "--out", str(tmp_path / "p.csv")]
+
+
 def _analyze(*flags):
     def argv(workdir, tmp_path):
         return ["analyze", "--model", str(workdir / "run" / "model.json"),
@@ -314,12 +342,55 @@ def _analyze(*flags):
     pytest.param(_train({"terms": [{"kind": "suppress", "r1": 0.7, "r2": 1.0, "lambda": 1.0,
                                     "seed": 5}]}), id="term-seed"),
     pytest.param(_train({"train_fraction": 0.75}), id="train-fraction"),
+    pytest.param(_train({"variant": "extreme"}), id="unknown-variant"),
+    pytest.param(lambda w, t: ["analyze", "--model", str(w / "run" / "model.json"),
+                               "--data", str(w / "task.csv"), "--rows", "1",
+                               "--out", str(t)], id="analyze-out-is-dir"),
+    pytest.param(lambda w, t: ["attack", "--model", str(w / "run" / "model.json"),
+                               "--data", str(w / "task.csv"), "--eps", "0.1",
+                               "--out", str(t)], id="attack-out-is-dir"),
+    pytest.param(lambda w, t: ["theory", "--n", "6", "--out", str(t)], id="theory-out-is-dir"),
+    pytest.param(lambda w, t: ["theory", "--n", "6", "--out", str(t / "c.csv"),
+                               "--fit", str(w / "run" / "profile_epoch_2.csv"),
+                               "--fit-out", str(t)], id="fit-out-is-dir"),
+    pytest.param(_out_dir_is_file, id="train-out-dir-is-file"),
+    pytest.param(lambda w, t: ["analyze", "--model", _not_utf8(t, "m.json"),
+                               "--data", str(w / "task.csv"), "--out", str(t / "p.csv")],
+                 id="model-not-utf8"),
+    pytest.param(lambda w, t: ["train", "--config", _not_utf8(t, "c.json"),
+                               "--data", str(w / "task.csv"), "--out-dir", str(t / "run")],
+                 id="config-not-utf8"),
+    pytest.param(lambda w, t: ["analyze", "--model", str(w / "run" / "model.json"),
+                               "--data", _not_utf8(t, "d.csv"), "--out", str(t / "p.csv")],
+                 id="dataset-not-utf8"),
+    pytest.param(lambda w, t: ["theory", "--n", "6", "--out", str(t / "c.csv"),
+                               "--fit", _not_utf8(t, "f.csv")], id="fit-profile-not-utf8"),
+    pytest.param(_huge_layer_sizes, id="huge-layer-sizes"),
 ])
 def test_malformed_input_is_one_error_line(argv, workdir, tmp_path, capsys):
     code = main(argv(workdir, tmp_path))
     lines = capsys.readouterr().err.splitlines()
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("error: validation: ")
+
+
+def test_train_reads_and_writes_utf8_under_an_ascii_locale(tmp_path):
+    rows = ["größe,x1,label"] + [f"{k % 7 - 3},{k % 5 - 2},{k % 2}" for k in range(40)]
+    data = tmp_path / "umlaut.csv"
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"epochs": 1, "batch_size": 8, "learning_rate": 0.1,
+                                  "seed": 0, "hidden_sizes": [4]}))
+    src = Path(interaction_lab.__file__).resolve().parents[1]
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "interaction_lab.cli", "train", "--config", str(config),
+         "--data", str(data), "--out-dir", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    model = json.loads((tmp_path / "run" / "model.json").read_text(encoding="utf-8"))
+    assert model["meta"]["feature_names"] == ["größe", "x1"]
 
 
 def test_commands_run_on_one_blas_thread_and_restore_the_count(tmp_path, monkeypatch):

@@ -11,7 +11,6 @@ from interaction_lab import (
     SyntheticGame,
     ValidationError,
     default_order_grid,
-    delta_v,
     efficiency_residual,
     efficiency_weight,
     interaction_order_exact,
@@ -26,25 +25,6 @@ from interaction_lab import (
 @pytest.fixture
 def poly_game():
     return synthetic_game(SyntheticGame.random_polynomial(8, degree=5, num_terms=14, seed=3))
-
-
-def test_delta_v_additive_game_is_zero():
-    game = synthetic_game(SyntheticGame.additive([2.0, -1.0, 0.5, 3.0]))
-    for s in [0b0000, 0b0100]:
-        assert delta_v(game, 0, 1, s) == 0.0
-
-
-def test_delta_v_matches_inclusion_exclusion(poly_game):
-    S = 0b00100100
-    both, left, right, base = poly_game.evaluate_many([S | 0b11, S | 0b01, S | 0b10, S])
-    assert delta_v(poly_game, 0, 1, S) == pytest.approx((both + left * -1) - (right - base))
-
-
-def test_delta_v_rejects_overlapping_context(poly_game):
-    with pytest.raises(ValidationError):
-        delta_v(poly_game, 0, 1, 0b00010010)
-    with pytest.raises(ValidationError):
-        delta_v(poly_game, 0, 1, 1 << 8)
 
 
 def test_conjunction_interaction_ramp():
@@ -90,7 +70,6 @@ def test_mc_reaches_player_63():
     game = synthetic_game(SyntheticGame.conjunction(64, [0, 63]))
     est = interaction_order_mc(game, 63, 0, 5, num_samples=4, seed=0)
     assert est.value == 1.0 and est.std_error == 0.0
-    assert delta_v(game, 0, 63, 0b110) == 1.0
 
 
 def test_mc_single_sample_has_zero_std_error(poly_game):

@@ -178,16 +178,6 @@ def test_flat_params_round_trip():
         set_flat_params(model, theta[:-1])
 
 
-def test_copy_is_independent():
-    model = MLP((2, 2), seed=0)
-    model.meta["tag"] = "x"
-    clone = model.copy()
-    clone.weights[0][0, 0] += 1.0
-    clone.meta["tag"] = "y"
-    assert model.weights[0][0, 0] != clone.weights[0][0, 0]
-    assert model.meta["tag"] == "x"
-
-
 def test_save_load_round_trip(tmp_path):
     model = _jittered((4, 5, 3), seed=11)
     model.meta = {"feature_names": ["a", "b", "c", "d"]}

@@ -17,21 +17,17 @@ from interaction_lab import (
     SyntheticGame,
     ValidationError,
     band_sizes,
+    band_value_and_grad,
     ce_value_and_grad,
     child_seed,
-    combined_loss,
     combined_value_and_grad,
     delta_u,
-    encourage_value_and_grad,
     flatten_grads,
     get_flat_params,
-    loss_encourage,
-    loss_suppress,
     make_rng,
     order_weights,
     round_half_up,
     set_flat_params,
-    suppress_value_and_grad,
     synthetic_game,
     theorem2_weight,
     verify_theorem2,
@@ -95,7 +91,7 @@ def test_theorem2_weight_reference_points():
 def test_theorem2_weight_band_structure():
     n, r1, r2 = 12, 0.3, 0.7
     s1, s2 = band_sizes(n, r1, r2)
-    w = order_weights(n, r1, r2).weights
+    w = order_weights(n, r1, r2)
     assert len(w) == n - 1
     for m in range(n - 1):
         if m <= s2 - 2:
@@ -220,7 +216,7 @@ def _stack_masks(seed, batch, pair_samples, n=6):
     # ones masked toward a zero baseline: each stack row is its mask's indicator
     model = MLP((n, 3, 2), seed=0)
     _, _, trace, _ = _band_delta_logits(model, np.ones((batch, n)), Baseline.zeros(n),
-                                        0.3, 0.7, pair_samples, seed, need_trace=True)
+                                        0.3, 0.7, pair_samples, seed)
     stacked = trace[0][0]
     return (stacked != 0) @ (1 << np.arange(n))
 
@@ -249,12 +245,14 @@ def test_band_losses_constant_model():
     delta = (1.0 - s2 / s1) * np.array([1.5, -2.0])
     probs = np.exp(delta) / np.exp(delta).sum()
     X = np.ones((2, n))
-    assert loss_encourage(model, X, [0, 1], 1 / 3, 5 / 6, 4, 0, base) == \
+    encourage = ModulationSpec("encourage", 1 / 3, 5 / 6, 1.0, 4)
+    suppress = ModulationSpec("suppress", 1 / 3, 5 / 6, 1.0, 4)
+    assert band_value_and_grad(encourage, model, X, [0, 1], 0, base)[0] == \
         pytest.approx(-np.log(probs).mean())
-    assert loss_suppress(model, X, [0, 1], 1 / 3, 5 / 6, 4, 0, base) == \
+    assert band_value_and_grad(suppress, model, X, [0, 1], 0, base)[0] == \
         pytest.approx((probs * np.log(probs)).sum())
     with pytest.raises(DomainError):
-        loss_encourage(model, X, [0, 2], 1 / 3, 5 / 6, 4, 0, base)
+        band_value_and_grad(encourage, model, X, [0, 2], 0, base)
 
 
 def test_band_losses_share_pairs_across_classes():
@@ -266,7 +264,8 @@ def test_band_losses_share_pairs_across_classes():
     base = Baseline.zeros(n)
     X = make_rng(4).normal(size=(1, n))
     # equal deltas make a uniform softmax, whose negative entropy is -ln 2
-    assert loss_suppress(model, X, [0], 0.4, 0.8, 6, 17, base) == math.log(0.5)
+    spec = ModulationSpec("suppress", 0.4, 0.8, 1.0, 6)
+    assert band_value_and_grad(spec, model, X, [0], 17, base)[0] == math.log(0.5)
 
 
 def _fixture(n=6, classes=3, batch=4, seed=12):
@@ -286,27 +285,30 @@ def test_loss_encourage_uniform_and_saturated():
     flat = MLP((n, 2), seed=0)
     for w in flat.weights:
         w[:] = 0.0
-    assert loss_encourage(flat, X, [0, 1, 0], 0.5, 1.0, 2, 0, base) == \
+    spec = ModulationSpec("encourage", 0.5, 1.0, 1.0, 2)
+    assert band_value_and_grad(spec, flat, X, [0, 1, 0], 0, base)[0] == \
         pytest.approx(math.log(2.0))
     # constant logits (20, -20) with ratio 2 give saturated class-1 deltas
     flat.biases[-1][:] = (20.0, -20.0)
-    assert loss_encourage(flat, X, [1, 1, 1], 0.5, 1.0, 2, 0, base) < 1e-8
+    assert band_value_and_grad(spec, flat, X, [1, 1, 1], 0, base)[0] < 1e-8
 
 
 def test_loss_suppress_bounds():
     model, X, y, base = _fixture()
-    val = loss_suppress(model, X, y, 0.3, 0.7, 3, 5, base)
+    spec = ModulationSpec("suppress", 0.3, 0.7, 1.0, 3)
+    val = band_value_and_grad(spec, model, X, y, 5, base)[0]
     assert -math.log(3.0) <= val <= 0.0
     flat = MLP((6, 3), seed=0)
     for w in flat.weights:
         w[:] = 0.0
-    uniform = loss_suppress(flat, X[:, :6], y, 0.3, 0.7, 3, 5, base)
+    uniform = band_value_and_grad(spec, flat, X[:, :6], y, 5, base)[0]
     assert uniform == pytest.approx(-math.log(3.0))
 
 
 def test_loss_encourage_nonnegative():
     model, X, y, base = _fixture(seed=21)
-    assert loss_encourage(model, X, y, 0.3, 0.7, 3, 9, base) >= 0.0
+    spec = ModulationSpec("encourage", 0.3, 0.7, 1.0, 3)
+    assert band_value_and_grad(spec, model, X, y, 9, base)[0] >= 0.0
 
 
 def _fd_check(model, loss_fn, grads, stride=5, eps=1e-4, tol=1e-4):
@@ -327,32 +329,35 @@ def _fd_check(model, loss_fn, grads, stride=5, eps=1e-4, tol=1e-4):
 
 def test_encourage_gradient_matches_fd():
     model, X, y, base = _fixture(seed=31)
-    _, grads = encourage_value_and_grad(model, X, y, 0.3, 0.7, 2, 7, base)
-    _fd_check(model, lambda: loss_encourage(model, X, y, 0.3, 0.7, 2, 7, base), grads)
+    spec = ModulationSpec("encourage", 0.3, 0.7, 1.0, 2)
+    _, grads = band_value_and_grad(spec, model, X, y, 7, base)
+    _fd_check(model, lambda: band_value_and_grad(spec, model, X, y, 7, base)[0], grads)
 
 
 def test_suppress_gradient_matches_fd():
     model, X, y, base = _fixture(seed=32)
-    _, grads = suppress_value_and_grad(model, X, y, 0.7, 1.0, 2, 8, base)
-    _fd_check(model, lambda: loss_suppress(model, X, y, 0.7, 1.0, 2, 8, base), grads)
+    spec = ModulationSpec("suppress", 0.7, 1.0, 1.0, 2)
+    _, grads = band_value_and_grad(spec, model, X, y, 8, base)
+    _fd_check(model, lambda: band_value_and_grad(spec, model, X, y, 8, base)[0], grads)
 
 
 def test_suppress_gradient_matches_fd_zero_lower_band():
     # r1=0 puts every inner subset at the empty mask; still differentiable
     model, X, y, base = _fixture(seed=33)
-    _, grads = suppress_value_and_grad(model, X, y, 0.0, 0.5, 2, 9, base)
-    _fd_check(model, lambda: loss_suppress(model, X, y, 0.0, 0.5, 2, 9, base), grads)
+    spec = ModulationSpec("suppress", 0.0, 0.5, 1.0, 2)
+    _, grads = band_value_and_grad(spec, model, X, y, 9, base)
+    _fd_check(model, lambda: band_value_and_grad(spec, model, X, y, 9, base)[0], grads)
 
 
 def test_combined_loss_degenerate_and_linear():
     model, X, y, base = _fixture(seed=41)
     zero_terms = (ModulationSpec(kind="encourage", r1=0.3, r2=0.7, lam=0.0),)
     plain, _ = ce_value_and_grad(model, X, y)
-    assert combined_loss(model, X, y, zero_terms, 5, base) == pytest.approx(plain)
+    assert combined_value_and_grad(model, X, y, zero_terms, 5, base)[0] == pytest.approx(plain)
 
     terms = (ModulationSpec(kind="encourage", r1=0.3, r2=0.7, lam=1.0, pair_samples=3),)
-    total = combined_loss(model, X, y, terms, 5, base)
-    separate = plain + loss_encourage(model, X, y, 0.3, 0.7, 3, child_seed(5, 0), base)
+    total = combined_value_and_grad(model, X, y, terms, 5, base)[0]
+    separate = plain + band_value_and_grad(terms[0], model, X, y, child_seed(5, 0), base)[0]
     assert total == pytest.approx(separate)
 
 
@@ -361,7 +366,7 @@ def test_combined_gradient_matches_fd_and_keeps_input_grads():
     terms = (ModulationSpec(kind="encourage", r1=0.3, r2=0.7, lam=0.5, pair_samples=2),
              ModulationSpec(kind="suppress", r1=0.7, r2=1.0, lam=0.25, pair_samples=2))
     _, grads = combined_value_and_grad(model, X, y, terms, 13, base)
-    _fd_check(model, lambda: combined_loss(model, X, y, terms, 13, base), grads,
+    _fd_check(model, lambda: combined_value_and_grad(model, X, y, terms, 13, base)[0], grads,
               stride=7)
     # modulation terms rewrite the batch, so input grads are the plain-CE ones
     _, ce_grads = ce_value_and_grad(model, X, y)

@@ -14,7 +14,6 @@ from interaction_lab import (
     make_pairwise_task,
     read_train_log,
     train,
-    variant_config,
     write_snapshots,
     write_train_log,
 )
@@ -48,17 +47,14 @@ def test_train_config_validation():
 
 def test_variant_recipes():
     assert set(VARIANT_TERMS) == {"normal", "low", "mid", "high"}
-    assert variant_config("normal").terms == ()
-    low = variant_config("low")
-    assert low.terms[0].kind == "suppress"
-    assert (low.terms[0].r1, low.terms[0].r2) == (0.7, 1.0)
-    mid = variant_config("mid", epochs=5)
-    assert mid.terms[0].kind == "encourage"
-    assert mid.epochs == 5
-    high = variant_config("high")
-    assert (high.terms[0].r1, high.terms[0].r2) == (0.0, 0.5)
-    with pytest.raises(ValidationError):
-        variant_config("extreme")
+    assert VARIANT_TERMS["normal"] == ()
+    low = VARIANT_TERMS["low"]
+    assert low[0].kind == "suppress"
+    assert (low[0].r1, low[0].r2) == (0.7, 1.0)
+    mid = VARIANT_TERMS["mid"]
+    assert mid[0].kind == "encourage"
+    high = VARIANT_TERMS["high"]
+    assert (high[0].r1, high[0].r2) == (0.0, 0.5)
 
 
 def test_train_learns_and_logs():
