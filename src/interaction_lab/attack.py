@@ -3,9 +3,11 @@
 The attack maximizes cross-entropy by signed gradient steps, clipping back
 into the epsilon box around the clean input after every step. It is fully
 deterministic: the start point is the clean input itself (no random
-restarts), and sign(0) is 0, so a flat model is a fixed point. Adversarial
-points are not clamped to any data range; standardized tabular features are
-unbounded, so the epsilon box is the only constraint.
+restarts), and sign(0) is 0, so a flat model is a fixed point. Each step
+runs one forward pass and backpropagates the cross-entropy gradient to the
+input only (MLP.input_gradient); it computes no loss value and no parameter
+gradient. Adversarial points are not clamped to any data range; standardized
+tabular features are unbounded, so the epsilon box is the only constraint.
 """
 from __future__ import annotations
 
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
-from .mlp import MLP, accuracy, ce_value_and_grad
+from .errors import DomainError, NumericError, ValidationError
+from .mlp import MLP, accuracy, cross_entropy_grad
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,7 @@ def pgd_attack(model: MLP, x, y, cfg: AttackConfig) -> np.ndarray:
     """Adversarial version of the (rows, features) batch x.
 
     Every output satisfies ||x_adv - x||_inf <= epsilon exactly. steps=0
-    returns the input unchanged.
+    returns the input unchanged. Non-finite logits raise NumericError.
     """
     x0 = np.asarray(x, dtype=float)
     labels = np.asarray(y, dtype=int)
@@ -47,8 +49,11 @@ def pgd_attack(model: MLP, x, y, cfg: AttackConfig) -> np.ndarray:
     lo, hi = x0 - cfg.epsilon, x0 + cfg.epsilon
     adv = x0.copy()
     for _ in range(cfg.steps):
-        _, grads = ce_value_and_grad(model, adv, labels)
-        adv = np.clip(adv + cfg.step_size * np.sign(grads.inputs), lo, hi)
+        logits, trace = model.forward_trace(adv)
+        if not np.isfinite(logits).all():
+            raise NumericError("logits are not finite during the attack")
+        grad = model.input_gradient(trace, cross_entropy_grad(logits, labels))
+        adv = np.clip(adv + cfg.step_size * np.sign(grad), lo, hi)
     return adv
 
 

@@ -37,6 +37,7 @@ from .interactions import (LogOddsGame, efficiency_residual, order_profile,
 from .mlp import MLP, accuracy, load_model, save_model
 from .modulation import ModulationSpec, verify_theorem2
 from .rng import child_seed
+from .textio import open_text
 from .theory import (GradSimConfig, fit_effective_n, learning_strength_hat,
                      simulate_curve, theory_curve, write_theory_csv)
 from .training import (TrainConfig, VARIANT_TERMS, train, write_snapshots,
@@ -89,8 +90,20 @@ def _seed(text: str) -> int:
 
 def _out_path(text: str) -> str:
     # checked at parse time, so a bad path fails before any work is done
+    if Path(text).is_dir():
+        raise argparse.ArgumentTypeError(f"{text} is a directory")
     if not Path(text).parent.is_dir():
         raise argparse.ArgumentTypeError(f"directory of {text} does not exist")
+    return text
+
+
+def _out_dir(text: str) -> str:
+    # checked at parse time, so train fails before it trains: creating the
+    # directory needs its nearest existing ancestor (or itself) to be one
+    path = Path(text)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise argparse.ArgumentTypeError(f"{existing} exists and is not a directory")
     return text
 
 
@@ -251,11 +264,8 @@ def _cmd_theory(args) -> int:
 
 def _load_train_config(path, seed_override: int | None) -> tuple[TrainConfig, str, dict]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read config {path}: {exc}") from exc
-    try:
-        raw = json.loads(text)
+        with open_text(path, "config") as fh:
+            raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -389,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV path or bundled:<name>")
     p.add_argument("--seed", type=_seed, default=None,
                    help="override the seed in the config file")
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--out-dir", required=True, type=_out_dir)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("attack", help="PGD robustness of a saved model")
@@ -448,8 +458,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         with one_blas_thread():
             return args.func(args)
-    except (ValidationError, OSError, UnicodeDecodeError) as exc:
-        # a file that cannot be read or written is bad input like any other
+    except (ValidationError, OSError) as exc:
+        # a file that cannot be written is bad input like any other
         print(f"error: validation: {_one_line(exc)}", file=sys.stderr)
         return 1
     except VerificationError as exc:

@@ -24,7 +24,7 @@ from scipy.special import ndtri
 
 from .errors import DomainError, SchemaError, ValidationError
 from .rng import make_rng
-from .textio import format_float, meta_comment
+from .textio import format_float, meta_comment, open_text
 
 BUNDLED_TASKS = ("pairs", "conjunction")
 _BUNDLED_PREFIX = "bundled:"
@@ -100,11 +100,8 @@ def load_dataset_csv(path, label_column: str) -> TabularDataset:
     by this package read back. Parse failures raise errors naming the 1-based
     data row and the column.
     """
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            lines = [row for row in csv.reader(fh)]
-    except OSError as exc:
-        raise ValidationError(f"cannot read dataset {path}: {exc}") from exc
+    with open_text(path, "dataset", newline="") as fh:
+        lines = list(csv.reader(fh))
     while lines and lines[0] and lines[0][0].startswith("#"):
         lines = lines[1:]
     if not lines:

@@ -2,10 +2,13 @@
 
 Hidden layers use ReLU (subgradient 0 at the kink, for determinism), the
 output layer is identity, so the network emits raw class logits. Gradients
-are computed by explicit backpropagation rather than an autodiff framework;
-the library's three losses, ce_value_and_grad, band_value_and_grad and
-combined_value_and_grad, are finite-difference checked against this
-implementation, so keep forward and backward in lockstep when editing.
+are computed by explicit backpropagation rather than an autodiff framework,
+and each backward pass computes only what its caller reads: backward gives
+the parameter gradients (training) and input_gradient the gradient with
+respect to the batch (attacks). The library's three losses,
+ce_value_and_grad, band_value_and_grad and combined_value_and_grad, and the
+input gradient are finite-difference checked against this implementation,
+so keep forward, backward and input_gradient in lockstep when editing.
 """
 from __future__ import annotations
 
@@ -18,29 +21,17 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, NumericError, SchemaError, ValidationError
 from .rng import make_rng
+from .textio import open_text
 
 MODEL_FORMAT_VERSION = 1
 
 
 @dataclass
 class ParamGrads:
-    """Gradient of a scalar loss with respect to every parameter and the input.
-
-    inputs is None for losses whose forward pass rewrites the batch (masked
-    stacks); only same-batch gradients combine input terms.
-    """
+    """Gradient of a scalar loss with respect to every weight and bias."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    inputs: np.ndarray | None
-
-    def add_scaled(self, other: "ParamGrads", factor: float) -> None:
-        for w, ow in zip(self.weights, other.weights):
-            w += factor * ow
-        for b, ob in zip(self.biases, other.biases):
-            b += factor * ob
-        if self.inputs is not None and other.inputs is not None:
-            self.inputs = self.inputs + factor * other.inputs
 
 
 def _checked_sizes(layer_sizes: Sequence[int]) -> tuple[int, ...]:
@@ -130,21 +121,43 @@ class MLP:
         return h, (inputs, pre)
 
     def backward(self, trace, dlogits: np.ndarray) -> ParamGrads:
-        """Backpropagate d(loss)/d(logits) through the trace of forward_trace."""
+        """Parameter gradients from d(loss)/d(logits) and the trace of forward_trace.
+
+        The chain stops at layer 0's pre-activation: the input gradient is
+        input_gradient's job.
+        """
         inputs, pre = trace
-        dz = np.asarray(dlogits, dtype=float)
-        if dz.shape != pre[-1].shape:
-            raise DimensionError(
-                f"dlogits shape {dz.shape} does not match logits shape {pre[-1].shape}")
+        dz = _checked_dlogits(pre, dlogits)
         grads_w = [None] * len(self.weights)
         grads_b = [None] * len(self.biases)
         for l in range(len(self.weights) - 1, -1, -1):
             grads_w[l] = inputs[l].T @ dz
             grads_b[l] = dz.sum(axis=0)
+            if l > 0:
+                dz = (dz @ self.weights[l].T) * (pre[l - 1] > 0.0)
+        return ParamGrads(weights=grads_w, biases=grads_b)
+
+    def input_gradient(self, trace, dlogits: np.ndarray) -> np.ndarray:
+        """d(loss)/d(X) from d(loss)/d(logits) and the trace of forward_trace.
+
+        Runs only the chain through the weights, in backward's op order, and
+        computes no parameter gradient.
+        """
+        _, pre = trace
+        dz = _checked_dlogits(pre, dlogits)
+        for l in range(len(self.weights) - 1, -1, -1):
             dh = dz @ self.weights[l].T
             if l > 0:
                 dz = dh * (pre[l - 1] > 0.0)
-        return ParamGrads(weights=grads_w, biases=grads_b, inputs=dh)
+        return dh
+
+
+def _checked_dlogits(pre: list[np.ndarray], dlogits) -> np.ndarray:
+    dz = np.asarray(dlogits, dtype=float)
+    if dz.shape != pre[-1].shape:
+        raise DimensionError(
+            f"dlogits shape {dz.shape} does not match logits shape {pre[-1].shape}")
+    return dz
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -198,13 +211,19 @@ def accuracy(logits: np.ndarray, labels) -> float:
     return float((logits.argmax(axis=1) == labels).mean())
 
 
-def ce_value_and_grad(model: MLP, X, labels) -> tuple[float, ParamGrads]:
-    """Plain classification loss and its exact parameter gradient."""
-    logits, trace = model.forward_trace(X)
+def _checked_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy and its logits gradient; a non-finite loss raises."""
     loss = cross_entropy(logits, labels)
     if not np.isfinite(loss):
         raise NumericError(f"cross-entropy is not finite: {loss}")
-    return loss, model.backward(trace, cross_entropy_grad(logits, labels))
+    return loss, cross_entropy_grad(logits, labels)
+
+
+def ce_value_and_grad(model: MLP, X, labels) -> tuple[float, ParamGrads]:
+    """Plain classification loss and its exact parameter gradient."""
+    logits, trace = model.forward_trace(X)
+    loss, dlogits = _checked_cross_entropy(logits, labels)
+    return loss, model.backward(trace, dlogits)
 
 
 def get_flat_params(model: MLP) -> np.ndarray:
@@ -261,11 +280,8 @@ def save_model(path, model: MLP, meta=None) -> None:
 
 def load_model(path) -> MLP:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read model {path}: {exc}") from exc
-    try:
-        obj = json.loads(text)
+        with open_text(path, "model") as fh:
+            obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"model file is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):

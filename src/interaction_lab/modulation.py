@@ -22,7 +22,10 @@ encouraging loss classifies with softmax(delta_u_c) (forcing the banded
 orders to carry label information), and the suppressing loss maximizes the
 entropy of that softmax (draining them). band_value_and_grad returns one
 term's loss with its parameter gradient, and combined_value_and_grad adds
-the weighted terms to the plain cross-entropy. At r1 = 0 the s2/s1 ratio is
+the weighted terms to the plain cross-entropy in one pass: the batch and
+every active term's masked stack go through one forward and one backward,
+and each term's logits block is turned into its loss and logits gradient by
+the same helper band_value_and_grad uses. At r1 = 0 the s2/s1 ratio is
 undefined; the documented convention is delta_u(0, r2) = E[v(S2)] - v(empty),
 and the closed-form weight refuses r1 = 0 outright.
 """
@@ -39,7 +42,8 @@ from scipy.special import xlogy
 from .errors import DomainError, NumericError, ValidationError
 from .games import _PLAYER_BITS, Baseline, ValueFunction, masked_matrix
 from .interactions import evaluate, pair_order_means, size_means, value_table
-from .mlp import MLP, ParamGrads, ce_value_and_grad, cross_entropy, cross_entropy_grad, softmax
+from .mlp import (MLP, ParamGrads, _checked_cross_entropy, ce_value_and_grad, cross_entropy,
+                  cross_entropy_grad, softmax)
 from .rng import child_seed, make_rng
 
 _ROW_STREAM = 0xC2B2AE35
@@ -196,51 +200,37 @@ def delta_u(game: ValueFunction, r1: float, r2: float, pair_samples: int, seed: 
     return float(np.mean(outer - _effective_ratio(s1, s2) * inner))
 
 
-def _band_delta_logits(model: MLP, X: np.ndarray, baseline: Baseline,
-                       r1: float, r2: float, pair_samples: int, seed: int):
-    """Per-row, per-class delta_u matrix, plus what backward needs.
+def _band_stack(spec: ModulationSpec, X: np.ndarray, baseline: Baseline,
+                seed: int) -> tuple[np.ndarray, float]:
+    """One term's masked stack of the batch, plus its ratio s2/s1.
 
     One generator, make_rng(seed, _ROW_STREAM), draws all batch *
-    pair_samples pairs; row b takes pairs [Pb, P(b+1)). For each row the
-    same drawn pairs serve every class. Returns (delta, ratio, trace,
-    logits_shape) where delta has shape (batch, classes).
+    pair_samples pairs; row b takes pairs [Pb, P(b+1)) and owns stack rows
+    [2Pb, 2P(b+1)): its P inner masks, then its P outer ones. For each row
+    the same drawn pairs serve every class.
     """
     n = len(baseline)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != n:
         raise DomainError(f"batch must have shape (rows, {n}), got {X.shape}")
-    s1, s2 = band_sizes(n, r1, r2)
-    ratio = _effective_ratio(s1, s2)
-    batch = len(X)
-    # row b owns stack rows [2Pb, 2P(b+1)): its P inner masks, then its P outer ones
+    s1, s2 = band_sizes(n, spec.r1, spec.r2)
+    batch, pair_samples = len(X), spec.pair_samples
     pairs = _sample_pairs(n, s1, s2, batch * pair_samples, make_rng(seed, _ROW_STREAM))
     bits = pairs.reshape(2, batch, pair_samples).transpose(1, 0, 2)
     stacked = masked_matrix(np.repeat(X, 2 * pair_samples, axis=0), bits.reshape(-1), baseline)
-    logits, trace = model.forward_trace(stacked)
-    shaped = logits.reshape(batch, 2, pair_samples, model.num_classes)
-    delta = shaped[:, 1].mean(axis=1) - ratio * shaped[:, 0].mean(axis=1)
-    return delta, ratio, trace, logits.shape
+    return stacked, _effective_ratio(s1, s2)
 
 
-def _assemble_dlogits(ddelta: np.ndarray, ratio: float, pair_samples: int,
-                      logits_shape) -> np.ndarray:
-    batch, classes = ddelta.shape
-    d = np.zeros((batch, 2, pair_samples, classes))
-    d[:, 1] = ddelta[:, None, :] / pair_samples
-    d[:, 0] = -ratio * ddelta[:, None, :] / pair_samples
-    return d.reshape(logits_shape)
+def _band_loss(spec: ModulationSpec, logits: np.ndarray, ratio: float,
+               y) -> tuple[float, np.ndarray]:
+    """One term's loss and d(loss)/d(logits) from its stack's logits block.
 
-
-def band_value_and_grad(spec: ModulationSpec, model: MLP, X, y, seed: int,
-                        baseline: Baseline) -> tuple[float, ParamGrads]:
-    """One band loss on the batch and its parameter gradients.
-
-    encourage: cross-entropy of the labels against softmax(delta); suppress:
-    negative entropy of softmax(delta), averaged over the batch (labels
-    unused, minimum -ln(classes)). spec.lam is not applied here.
+    delta is the per-row, per-class delta_u of the block's pairs; the loss
+    is the one band_value_and_grad documents, with spec.lam not applied.
     """
-    delta, ratio, trace, shape = _band_delta_logits(
-        model, X, baseline, spec.r1, spec.r2, spec.pair_samples, seed)
+    pair_samples = spec.pair_samples
+    shaped = logits.reshape(-1, 2, pair_samples, logits.shape[1])
+    delta = shaped[:, 1].mean(axis=1) - ratio * shaped[:, 0].mean(axis=1)
     if spec.kind == "encourage":
         loss = cross_entropy(delta, y)
     else:
@@ -253,10 +243,25 @@ def band_value_and_grad(spec: ModulationSpec, model: MLP, X, y, seed: int,
         ddelta = cross_entropy_grad(delta, y)
     else:
         ddelta = (plogp - probs * plogp.sum(axis=1, keepdims=True)) / len(delta)
-    dlogits = _assemble_dlogits(ddelta, ratio, spec.pair_samples, shape)
-    grads = model.backward(trace, dlogits)
-    grads.inputs = None  # gradient is w.r.t. the masked stack, not the batch
-    return loss, grads
+    d = np.zeros(shaped.shape)
+    d[:, 1] = ddelta[:, None, :] / pair_samples
+    d[:, 0] = -ratio * ddelta[:, None, :] / pair_samples
+    return loss, d.reshape(logits.shape)
+
+
+def band_value_and_grad(spec: ModulationSpec, model: MLP, X, y, seed: int,
+                        baseline: Baseline) -> tuple[float, ParamGrads]:
+    """One band loss on the batch and its parameter gradients.
+
+    encourage: cross-entropy of the labels against softmax(delta); suppress:
+    negative entropy of softmax(delta), averaged over the batch (labels
+    unused, minimum -ln(classes)). The pairs come from the stream
+    make_rng(seed, _ROW_STREAM). spec.lam is not applied here.
+    """
+    stacked, ratio = _band_stack(spec, X, baseline, seed)
+    logits, trace = model.forward_trace(stacked)
+    loss, dlogits = _band_loss(spec, logits, ratio, y)
+    return loss, model.backward(trace, dlogits)
 
 
 def combined_value_and_grad(model: MLP, X, y, terms: Sequence[ModulationSpec],
@@ -264,19 +269,28 @@ def combined_value_and_grad(model: MLP, X, y, terms: Sequence[ModulationSpec],
     """Classification cross-entropy plus every weighted modulation term.
 
     Term t samples its pairs from the stream derived as (seed, t), so every
-    term draws new pairs at every step. Gradient accumulation follows the
-    fixed term order.
+    term draws new pairs at every step; terms with lam = 0 are skipped. The
+    batch and the masked stack of each active term, in term order, go
+    through one forward pass, and one backward pass takes the stacked logits
+    gradient [dCE; lam_t * dterm_t]. With no active term this is
+    ce_value_and_grad.
     """
     X = np.asarray(X, dtype=float)
-    total, grads = ce_value_and_grad(model, X, y)
-    for t, spec in enumerate(terms):
-        if spec.lam == 0:
-            continue
-        value, term_grads = band_value_and_grad(spec, model, X, y, child_seed(seed, t),
-                                                baseline)
+    active = [(spec, _band_stack(spec, X, baseline, child_seed(seed, t)))
+              for t, spec in enumerate(terms) if spec.lam != 0]
+    if not active:
+        return ce_value_and_grad(model, X, y)
+    logits, trace = model.forward_trace(np.concatenate([X, *(s for _, (s, _) in active)]))
+    start = len(X)
+    total, dce = _checked_cross_entropy(logits[:start], y)
+    blocks = [dce]
+    for spec, (stacked, ratio) in active:
+        stop = start + len(stacked)
+        value, dlogits = _band_loss(spec, logits[start:stop], ratio, y)
         total += spec.lam * value
-        grads.add_scaled(term_grads, spec.lam)
-    return total, grads
+        blocks.append(spec.lam * dlogits)
+        start = stop
+    return total, model.backward(trace, np.concatenate(blocks))
 
 
 def verify_theorem2(n: int, r1: float, r2: float, num_games: int, seed: int) -> float:

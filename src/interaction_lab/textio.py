@@ -9,10 +9,11 @@ values survive a write/read round trip bit for bit, and lines always end in
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence, TextIO
 
-from .errors import SchemaError
+from .errors import SchemaError, ValidationError
 
 _KEY_RE = re.compile(r"^[A-Za-z0-9_.:-]+$")
 
@@ -59,9 +60,27 @@ def write_csv(path, header: str, rows: Sequence[Sequence[str]], meta: Mapping[st
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
 
 
+@contextmanager
+def open_text(path, what: str, newline: str | None = None) -> Iterator[TextIO]:
+    """The file opened for reading as UTF-8, whatever the locale.
+
+    A file that cannot be read or decoded inside the block raises
+    ValidationError naming it; what says which kind of input it is. newline
+    is open()'s argument.
+    """
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cannot decode {path} as UTF-8: {exc}") from None
+
+
 def read_csv(path, header: str) -> tuple[list[list[str]], dict[str, str]]:
     """Rows (still as strings) plus the metadata mapping; strict about layout."""
-    text = Path(path).read_text(encoding="utf-8")
+    with open_text(path, "file") as fh:
+        text = fh.read()
     lines = [ln for ln in text.split("\n") if ln != ""]
     meta: dict[str, str] = {}
     if lines and lines[0].startswith("#"):

@@ -177,7 +177,9 @@ def train(config: TrainConfig, dataset: TabularDataset) -> tuple[MLP, TrainLog]:
         order = make_rng(child_seed(config.seed, _SHUFFLE_STREAM, epoch)).permutation(len(X_train))
         for step, start in enumerate(range(0, len(order), config.batch_size)):
             batch = order[start:start + config.batch_size]
-            step_seed = child_seed(config.seed, _STEP_STREAM, epoch, step)
+            # a run with no terms samples nothing, so it derives no step seed
+            step_seed = (child_seed(config.seed, _STEP_STREAM, epoch, step)
+                         if config.terms else 0)
             loss, grads = combined_value_and_grad(
                 model, X_train[batch], y_train[batch], config.terms, step_seed, baseline)
             if not np.isfinite(loss):

@@ -5,12 +5,14 @@ import pytest
 from interaction_lab import (
     MLP,
     AttackConfig,
+    NumericError,
     TrainConfig,
     ValidationError,
     adversarial_accuracy,
     make_pairwise_task,
     make_rng,
     pgd_attack,
+    softmax,
     train,
 )
 
@@ -80,3 +82,36 @@ def test_adversarial_accuracy_on_plain_pair():
     val = adversarial_accuracy(model, X, y, cfg)
     logits = model.forward(X)
     assert val == pytest.approx((logits.argmax(axis=1) == 0).mean() * 100)
+
+
+def _reference_pgd(model, x, y, cfg):
+    """PGD written out: forward_trace, then d(mean CE)/d(x) by explicit backprop."""
+    lo, hi = x - cfg.epsilon, x + cfg.epsilon
+    adv = x.copy()
+    for _ in range(cfg.steps):
+        logits, (_, pre) = model.forward_trace(adv)
+        dz = softmax(logits)
+        dz[np.arange(len(y)), y] -= 1.0
+        dz = dz / len(y)
+        for l in range(len(model.weights) - 1, -1, -1):
+            dx = dz @ model.weights[l].T
+            if l > 0:
+                dz = dx * (pre[l - 1] > 0.0)
+        adv = np.clip(adv + cfg.step_size * np.sign(dx), lo, hi)
+    return adv
+
+
+def test_attack_equals_explicit_backprop_bit_for_bit():
+    model, X, y = _trained()
+    cfg = AttackConfig(epsilon=0.3, steps=25, step_size=0.02)
+    adv = pgd_attack(model, X[:64], y[:64], cfg)
+    assert np.array_equal(adv, _reference_pgd(model, X[:64], y[:64], cfg))
+    assert not np.array_equal(adv, X[:64])
+
+
+def test_attack_rejects_non_finite_logits():
+    model = MLP((3, 2), seed=0)
+    model.weights[0][:] = np.inf
+    cfg = AttackConfig(epsilon=0.1, steps=1, step_size=0.01)
+    with pytest.raises(NumericError):
+        pgd_attack(model, np.ones((2, 3)), np.array([0, 1]), cfg)

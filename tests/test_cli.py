@@ -10,6 +10,7 @@ import pytest
 
 import interaction_lab
 from interaction_lab import MLP, make_pairwise_task, save_model, write_dataset_csv
+from interaction_lab import cli
 from interaction_lab.cli import main
 
 
@@ -292,6 +293,12 @@ def _out_dir_is_file(workdir, tmp_path):
     return argv
 
 
+def _out_dir_under_file(workdir, tmp_path):
+    argv = _train({})(workdir, tmp_path)
+    (tmp_path / "file").write_text("")
+    return argv[:-1] + [str(tmp_path / "file" / "run")]
+
+
 def _not_utf8(tmp_path, name):
     path = tmp_path / name
     path.write_bytes(b"\xff\xfe not utf-8\n")
@@ -354,6 +361,7 @@ def _analyze(*flags):
                                "--fit", str(w / "run" / "profile_epoch_2.csv"),
                                "--fit-out", str(t)], id="fit-out-is-dir"),
     pytest.param(_out_dir_is_file, id="train-out-dir-is-file"),
+    pytest.param(_out_dir_under_file, id="train-out-dir-under-file"),
     pytest.param(lambda w, t: ["analyze", "--model", _not_utf8(t, "m.json"),
                                "--data", str(w / "task.csv"), "--out", str(t / "p.csv")],
                  id="model-not-utf8"),
@@ -367,11 +375,39 @@ def _analyze(*flags):
                                "--fit", _not_utf8(t, "f.csv")], id="fit-profile-not-utf8"),
     pytest.param(_huge_layer_sizes, id="huge-layer-sizes"),
 ])
-def test_malformed_input_is_one_error_line(argv, workdir, tmp_path, capsys):
-    code = main(argv(workdir, tmp_path))
+def test_malformed_input_is_one_error_line(argv, workdir, tmp_path, capsys, monkeypatch):
+    args = argv(workdir, tmp_path)
+    # every case fails before any training, profile, attack or fit runs
+    for name in ("train", "order_profile", "adversarial_accuracy", "fit_effective_n"):
+        monkeypatch.setattr(cli, name, _must_not_run(name))
+    code = main(args)
     lines = capsys.readouterr().err.splitlines()
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("error: validation: ")
+
+
+def _must_not_run(name):
+    def fail(*args, **kwargs):
+        pytest.fail(f"{name} ran before the bad input was rejected")
+    return fail
+
+
+@pytest.mark.parametrize("reader", ["model", "config", "dataset", "fit"])
+def test_non_utf8_input_names_its_file(reader, workdir, tmp_path, capsys):
+    bad = _not_utf8(tmp_path, f"bad-{reader}")
+    model, data = str(workdir / "run" / "model.json"), str(workdir / "task.csv")
+    argv = {
+        "model": ["analyze", "--model", bad, "--data", data, "--out", str(tmp_path / "p.csv")],
+        "config": ["train", "--config", bad, "--data", data,
+                   "--out-dir", str(tmp_path / "run")],
+        "dataset": ["analyze", "--model", model, "--data", bad,
+                    "--out", str(tmp_path / "p.csv")],
+        "fit": ["theory", "--n", "6", "--out", str(tmp_path / "c.csv"), "--fit", bad],
+    }[reader]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: validation: cannot decode {bad} as UTF-8")
 
 
 def test_train_reads_and_writes_utf8_under_an_ascii_locale(tmp_path):
@@ -394,7 +430,6 @@ def test_train_reads_and_writes_utf8_under_an_ascii_locale(tmp_path):
 
 
 def test_commands_run_on_one_blas_thread_and_restore_the_count(tmp_path, monkeypatch):
-    from interaction_lab import cli
     from interaction_lab.cli import _openblas
 
     blas = _openblas()

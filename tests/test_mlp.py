@@ -78,6 +78,16 @@ def test_forward_rejects_wrong_width():
         model.forward(np.zeros(4))
 
 
+def test_backward_passes_reject_wrong_dlogits_shape():
+    model = MLP((4, 3, 2), seed=0)
+    _, trace = model.forward_trace(np.zeros((5, 4)))
+    for backprop in (model.backward, model.input_gradient):
+        with pytest.raises(DimensionError):
+            backprop(trace, np.zeros((5, 3)))
+        with pytest.raises(DimensionError):
+            backprop(trace, np.zeros((4, 2)))
+
+
 def test_softmax_and_log_softmax_are_stable():
     big = np.array([[1000.0, 1001.0, 999.0]])
     p = softmax(big)
@@ -156,7 +166,8 @@ def test_ce_input_gradient_matches_fd():
     rng = make_rng(10)
     X = rng.normal(size=(2, 3))
     y = np.array([1, 0])
-    _, grads = ce_value_and_grad(model, X, y)
+    logits, trace = model.forward_trace(X)
+    grad = model.input_gradient(trace, cross_entropy_grad(logits, y))
     eps = 1e-6
     for r in range(2):
         for c in range(3):
@@ -165,7 +176,7 @@ def test_ce_input_gradient_matches_fd():
             dn[r, c] -= eps
             fd = (ce_value_and_grad(model, up, y)[0]
                   - ce_value_and_grad(model, dn, y)[0]) / (2 * eps)
-            assert grads.inputs[r, c] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+            assert grad[r, c] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
 def test_flat_params_round_trip():

@@ -32,7 +32,7 @@ from interaction_lab import (
     theorem2_weight,
     verify_theorem2,
 )
-from interaction_lab.modulation import _ROW_STREAM, _band_delta_logits, _sample_pairs
+from interaction_lab.modulation import _ROW_STREAM, _band_stack, _sample_pairs
 
 
 def test_round_half_up():
@@ -214,10 +214,8 @@ def test_sample_pairs_are_uniform_over_nested_pairs():
 
 def _stack_masks(seed, batch, pair_samples, n=6):
     # ones masked toward a zero baseline: each stack row is its mask's indicator
-    model = MLP((n, 3, 2), seed=0)
-    _, _, trace, _ = _band_delta_logits(model, np.ones((batch, n)), Baseline.zeros(n),
-                                        0.3, 0.7, pair_samples, seed)
-    stacked = trace[0][0]
+    spec = ModulationSpec("encourage", 0.3, 0.7, 1.0, pair_samples)
+    stacked, _ = _band_stack(spec, np.ones((batch, n)), Baseline.zeros(n), seed)
     return (stacked != 0) @ (1 << np.arange(n))
 
 
@@ -361,16 +359,44 @@ def test_combined_loss_degenerate_and_linear():
     assert total == pytest.approx(separate)
 
 
-def test_combined_gradient_matches_fd_and_keeps_input_grads():
+def test_combined_gradient_matches_fd():
     model, X, y, base = _fixture(seed=42)
     terms = (ModulationSpec(kind="encourage", r1=0.3, r2=0.7, lam=0.5, pair_samples=2),
              ModulationSpec(kind="suppress", r1=0.7, r2=1.0, lam=0.25, pair_samples=2))
     _, grads = combined_value_and_grad(model, X, y, terms, 13, base)
     _fd_check(model, lambda: combined_value_and_grad(model, X, y, terms, 13, base)[0], grads,
               stride=7)
-    # modulation terms rewrite the batch, so input grads are the plain-CE ones
-    _, ce_grads = ce_value_and_grad(model, X, y)
-    assert np.array_equal(grads.inputs, ce_grads.inputs)
+
+
+_ENCOURAGE = ModulationSpec("encourage", 0.3, 0.7, 0.5, pair_samples=3)
+_SUPPRESS = ModulationSpec("suppress", 0.7, 1.0, 0.25, pair_samples=2)
+
+
+@pytest.mark.parametrize("terms", [
+    pytest.param((), id="no-terms"),
+    pytest.param((_ENCOURAGE,), id="one-term"),
+    pytest.param((_ENCOURAGE, _SUPPRESS), id="two-terms"),
+    pytest.param((_SUPPRESS, ModulationSpec("encourage", 0.3, 0.7, 0.0), _ENCOURAGE),
+                 id="zero-lambda-term"),
+])
+def test_combined_pass_equals_the_sum_of_its_losses(terms):
+    # one forward and one backward over [batch; stacks] against separate passes
+    model, X, y, base = _fixture(seed=43)
+    total, grads = combined_value_and_grad(model, X, y, terms, 21, base)
+    want_total, want = ce_value_and_grad(model, X, y)
+    want_flat = flatten_grads(want)
+    for t, spec in enumerate(terms):
+        if spec.lam == 0:
+            continue
+        value, term_grads = band_value_and_grad(spec, model, X, y, child_seed(21, t), base)
+        want_total += spec.lam * value
+        want_flat = want_flat + spec.lam * flatten_grads(term_grads)
+    assert total == pytest.approx(want_total, rel=1e-12, abs=0)
+    assert np.allclose(flatten_grads(grads), want_flat, rtol=1e-12, atol=1e-15)
+    if not any(spec.lam for spec in terms):
+        # no active term: the plain cross-entropy path, bit for bit
+        assert total == want_total
+        assert np.array_equal(flatten_grads(grads), want_flat)
 
 
 def test_verify_theorem2_small_bands():
