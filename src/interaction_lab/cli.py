@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import functools
 import hashlib
 import json
 import sys
@@ -452,10 +453,36 @@ def one_blas_thread() -> Iterator[None]:
         put(previous)
 
 
+# glibc's mallopt parameter numbers
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def keep_freed_memory() -> None:
+    """Have glibc's malloc keep freed blocks in the heap; acts once per process.
+
+    By default a block above the mmap threshold (128 KiB, raised by frees of
+    larger mapped blocks) is mapped for each allocation and unmapped when
+    freed, and a free heap top above twice that threshold goes back to the
+    system. The row-sized temporaries of every attack step and training
+    epoch then page-fault again on each use. Fixed thresholds of 32 MiB
+    (mmap) and 64 MiB (trim) keep those pages; results do not depend on
+    them. Does nothing when the C library is not glibc.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        keep_freed_memory()
         with one_blas_thread():
             return args.func(args)
     except (ValidationError, OSError) as exc:

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from math import floor
+from math import floor, isfinite
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DomainError, SchemaError, ValidationError
 from .rng import make_rng
@@ -93,6 +93,25 @@ def _parse_label_order(raw: list[str]) -> list[str]:
         return unique
 
 
+def _first_bad_cell(body: list[list[str]], header: list[str], label_idx: int) -> SchemaError:
+    """The error of the first offending cell in row-major order."""
+    for r, row in enumerate(body, start=1):
+        if len(row) != len(header):
+            return SchemaError(f"row {r}: expected {len(header)} cells, got {len(row)}")
+        for k, cell in enumerate(row):
+            if k == label_idx:
+                if not cell.strip():
+                    return SchemaError(f"row {r}: empty label cell")
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                return SchemaError(f"row {r}: column {header[k]!r} has non-numeric cell {cell!r}")
+            if not isfinite(value):
+                return SchemaError(f"row {r}: column {header[k]!r} has non-finite cell {cell!r}")
+    raise AssertionError("no offending cell")
+
+
 def load_dataset_csv(path, label_column: str) -> TabularDataset:
     """Strict CSV reader: header row, numeric features, any labels.
 
@@ -116,33 +135,19 @@ def load_dataset_csv(path, label_column: str) -> TabularDataset:
     if not body:
         raise SchemaError(f"dataset {path} has a header but no data rows")
     label_idx = header.index(label_column)
-    feature_names = tuple(name for k, name in enumerate(header) if k != label_idx)
-
-    features = np.empty((len(body), len(feature_names)))
-    raw_labels: list[str] = []
-    for r, row in enumerate(body, start=1):
-        if len(row) != len(header):
-            raise SchemaError(
-                f"row {r}: expected {len(header)} cells, got {len(row)}")
-        col = 0
-        for k, cell in enumerate(row):
-            if k == label_idx:
-                label = cell.strip()
-                if not label:
-                    raise SchemaError(f"row {r}: empty label cell")
-                raw_labels.append(label)
-                continue
-            text = cell.strip()
-            try:
-                value = float(text)
-            except ValueError:
-                raise SchemaError(
-                    f"row {r}: column {header[k]!r} has non-numeric cell {cell!r}") from None
-            if not np.isfinite(value):
-                raise SchemaError(
-                    f"row {r}: column {header[k]!r} has non-finite cell {cell!r}")
-            features[r - 1, col] = value
-            col += 1
+    feature_idx = [k for k in range(len(header)) if k != label_idx]
+    feature_names = tuple(header[k] for k in feature_idx)
+    try:
+        if any(len(row) != len(header) for row in body):
+            raise ValueError
+        raw_labels = [row[label_idx].strip() for row in body]
+        if not all(raw_labels):
+            raise ValueError
+        features = np.array([[float(row[k]) for k in feature_idx] for row in body])
+        if not np.isfinite(features).all():
+            raise ValueError
+    except ValueError:
+        raise _first_bad_cell(body, header, label_idx) from None
 
     order = _parse_label_order(raw_labels)
     index = {value: k for k, value in enumerate(order)}
@@ -210,9 +215,8 @@ def _finish_task(features: np.ndarray, labels: np.ndarray, noise: float,
 
 def _conjunction_indicator(features: np.ndarray, members: np.ndarray,
                            degree: int) -> np.ndarray:
-    # per-feature threshold puts the full conjunction near a 50/50 split;
-    # ndtri is the standard normal quantile (scipy.stats costs ~0.4 s to import)
-    threshold = ndtri(1.0 - 0.5 ** (1.0 / degree))
+    # per-feature threshold puts the full conjunction near a 50/50 split
+    threshold = NormalDist().inv_cdf(1.0 - 0.5 ** (1.0 / degree))
     return np.all(features[:, members] > threshold, axis=1)
 
 

@@ -35,7 +35,9 @@ from .textio import format_float, read_csv, write_csv
 
 MAX_EXACT_PLAYERS = 20
 MAX_TABLE_PLAYERS = 16
-TABLE_CHUNK = 128  # masks per evaluate_many call when building a value table
+EVAL_CHUNK = 256  # masks per evaluate_many call of evaluate: value tables, sampled profiles
+# masks per evaluate call of a sampled profile, unless one pair needs more
+_GROUP_MASKS = 65536
 
 # Stream ids reserved so derived streams can never collide with the per-pair
 # context streams, whose first path component is a player index.
@@ -98,31 +100,38 @@ class EfficiencyReport:
     relative_residual: float
 
 
-def evaluate(game: ValueFunction, bits, x=None) -> np.ndarray:
-    """game.evaluate_many(bits, x) as a float array, checked to hold one value per mask."""
+def evaluate_batch(game: ValueFunction, bits, x=None) -> np.ndarray:
+    """game.evaluate_many(bits, x) in one call, checked to hold one value per mask."""
     out = np.asarray(game.evaluate_many(bits, x=x), dtype=float)
     if out.shape != (len(bits),):
         raise DimensionError(f"evaluate_many returned shape {out.shape} for {len(bits)} masks")
     return out
 
 
+def evaluate(game: ValueFunction, bits, x=None) -> np.ndarray:
+    """v(S | x) for each mask of bits, in order, EVAL_CHUNK masks per evaluate_many call.
+
+    The chunks are consecutive slices of bits, so every value comes from the
+    same batch on every run, and each chunk's matmuls stay small whatever
+    the number of masks.
+    """
+    out = np.empty(len(bits))
+    for start in range(0, len(bits), EVAL_CHUNK):
+        out[start:start + EVAL_CHUNK] = evaluate_batch(game, bits[start:start + EVAL_CHUNK], x)
+    return out
+
+
 def value_table(game: ValueFunction, x=None) -> np.ndarray:
     """v(S | x) for every mask S, indexed by the mask; needs n <= MAX_TABLE_PLAYERS.
 
-    Masks are evaluated in ascending order, TABLE_CHUNK at a time, so every
-    value comes from the same batch on every run, memory stays bounded at
-    n = 16, and each chunk's matmuls stay small. The GuardError raised here is
-    the one size guard of every quantity read from a table: exact profiles,
-    efficiency_residual, exact delta_u and verify_theorem2.
+    The masks go through evaluate in ascending order. The GuardError raised
+    here is the one size guard of every quantity read from a table: exact
+    profiles, efficiency_residual, exact delta_u and verify_theorem2.
     """
     n = game.n
     if n > MAX_TABLE_PLAYERS:
         raise GuardError(f"value tables are limited to n <= {MAX_TABLE_PLAYERS}, got n={n}")
-    table = np.empty(1 << n)
-    for start in range(0, 1 << n, TABLE_CHUNK):
-        bits = np.arange(start, min(start + TABLE_CHUNK, 1 << n), dtype=np.uint64)
-        table[start:start + len(bits)] = evaluate(game, bits, x)
-    return table
+    return evaluate(game, np.arange(1 << n, dtype=np.uint64), x)
 
 
 def _check_pair(n: int, i: int, j: int) -> tuple[int, int]:
@@ -145,9 +154,10 @@ def _corners(base_bits: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.concatenate([base_bits | blo | bhi, base_bits, base_bits | blo, base_bits | bhi])
 
 
-def _deltas(corner_values: np.ndarray) -> np.ndarray:
-    vals = corner_values.reshape(4, -1)
-    return (vals[0] + vals[1]) - (vals[2] + vals[3])
+def _deltas(corner_values: np.ndarray, pairs: int = 1) -> np.ndarray:
+    """delta_v per context, one row per pair, from the pairs' _corners stacks in a row."""
+    vals = corner_values.reshape(pairs, 4, -1)
+    return (vals[:, 0] + vals[:, 1]) - (vals[:, 2] + vals[:, 3])
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,7 +220,7 @@ def interaction_order_exact(game: ValueFunction, i: int, j: int, m: int,
             f"exact enumeration is limited to n <= {MAX_EXACT_PLAYERS}, got n={n}; "
             "use the Monte Carlo path")
     base_bits = enumerated_contexts(n, lo, hi, m)
-    deltas = _deltas(evaluate(game, _corners(base_bits, lo, hi), x))
+    deltas = _deltas(evaluate_batch(game, _corners(base_bits, lo, hi), x))[0]
     return InteractionEstimate(value=float(deltas.mean()), std_error=0.0,
                                samples_used=len(base_bits), exact=True)
 
@@ -242,7 +252,7 @@ def interaction_order_mc(game: ValueFunction, i: int, j: int, m: int,
     if n <= MAX_EXACT_PLAYERS and num_samples == comb(n - 2, m):
         return interaction_order_exact(game, i, j, m, x=x)
     contexts = _contexts(n, lo, hi, m, num_samples, seed)
-    deltas = _deltas(evaluate(game, _corners(contexts, lo, hi), x))
+    deltas = _deltas(evaluate_batch(game, _corners(contexts, lo, hi), x))[0]
     se = float(np.std(deltas, ddof=1) / np.sqrt(num_samples)) if num_samples > 1 else 0.0
     return InteractionEstimate(value=float(deltas.mean()), std_error=se,
                                samples_used=num_samples, exact=False)
@@ -253,6 +263,28 @@ def _capped_budget(n: int, m: int, budget: int) -> int:
     if n <= MAX_EXACT_PLAYERS:
         return min(budget, comb(n - 2, m))
     return budget
+
+
+def _pair_means(game: ValueFunction, x, m: int, pairs: list[tuple[int, int]], budget: int,
+                seed: int) -> np.ndarray:
+    """interaction_order_mc(game, i, j, m, budget, seed, x).value for each sorted pair.
+
+    The same contexts (enumerated when budget is the context count), but the
+    corners of many pairs go through one evaluate call: as many pairs as fit
+    in _GROUP_MASKS masks, and at least one.
+    """
+    n = game.n
+    enumerate_all = n <= MAX_EXACT_PLAYERS and budget == comb(n - 2, m)
+    group = max(1, _GROUP_MASKS // (4 * budget))
+    means = []
+    for start in range(0, len(pairs), group):
+        chunk = pairs[start:start + group]
+        corners = np.concatenate([
+            _corners(enumerated_contexts(n, lo, hi, m) if enumerate_all
+                     else _contexts(n, lo, hi, m, budget, seed), lo, hi)
+            for lo, hi in chunk])
+        means.append(_deltas(evaluate(game, corners, x), len(chunk)).mean(axis=1))
+    return np.concatenate(means)
 
 
 def _pair_grid(n: int, pair_budget: int, seed: int, m: int) -> list[tuple[int, int]]:
@@ -291,9 +323,10 @@ def order_profile(game: ValueFunction, samples: Sequence,
     C(n - 2, (n - 2) // 2). Beyond that, each sample runs under its own derived
     seed: pairs are sampled without replacement when pair_budget is below the
     full pair count, the subset budget is capped at the context count (so
-    covered orders are enumerated exactly), and each (pair, order) is one
-    evaluate_many batch, in fixed pair order. The normalization denominator is
-    the mean over the declared grid only.
+    covered orders are enumerated exactly), and each order's pairs, in fixed
+    pair order, go through evaluate together; each pair's mean is the value
+    interaction_order_mc returns for it. The normalization denominator is the
+    mean over the declared grid only.
     """
     n = game.n
     if len(samples) == 0:
@@ -324,10 +357,9 @@ def order_profile(game: ValueFunction, samples: Sequence,
         for t, sample in enumerate(samples):
             sample_seed = child_seed(seed, _SAMPLE_STREAM, t)
             for col, m in enumerate(grid):
-                budget = _capped_budget(n, m, subset_budget)
-                per_sample[t, col] = np.mean([
-                    abs(interaction_order_mc(game, i, j, m, budget, sample_seed, x=sample).value)
-                    for i, j in _pair_grid(n, pair_budget, sample_seed, m)])
+                pairs = _pair_grid(n, pair_budget, sample_seed, m)
+                per_sample[t, col] = np.mean(np.abs(_pair_means(
+                    game, sample, m, pairs, _capped_budget(n, m, subset_budget), sample_seed)))
     strengths = per_sample.mean(axis=0)
     mean = float(strengths.mean())
     if np.isfinite(mean) and mean > 0:
@@ -421,9 +453,7 @@ class LogOddsGame(ValueFunction):
             raise DomainError(f"target class {target} outside [0, {logits.shape[1]})")
         z_target = logits[:, target]
         others = np.delete(logits, target, axis=1)
-        # logsumexp over the other classes, shifted by their maximum; numpy
-        # directly, as scipy.special.logsumexp's dispatch costs more than the
-        # forward pass of a 128-row table chunk
+        # logsumexp over the other classes, shifted by their maximum
         top = others.max(axis=1)
         return z_target - (top + np.log(np.exp(others - top[:, None]).sum(axis=1)))
 

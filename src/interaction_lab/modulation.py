@@ -37,13 +37,12 @@ from numbers import Integral
 from typing import Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import DomainError, NumericError, ValidationError
 from .games import _PLAYER_BITS, Baseline, ValueFunction, masked_matrix
-from .interactions import evaluate, pair_order_means, size_means, value_table
+from .interactions import evaluate_batch, pair_order_means, size_means, value_table
 from .mlp import (MLP, ParamGrads, _checked_cross_entropy, ce_value_and_grad, cross_entropy,
-                  cross_entropy_grad, softmax)
+                  cross_entropy_grad, log_softmax)
 from .rng import child_seed, make_rng
 
 _ROW_STREAM = 0xC2B2AE35
@@ -196,7 +195,7 @@ def delta_u(game: ValueFunction, r1: float, r2: float, pair_samples: int, seed: 
     if pair_samples < 1:
         raise DomainError(f"pair_samples must be positive, got {pair_samples}")
     pairs = _sample_pairs(n, s1, s2, pair_samples, make_rng(seed))
-    inner, outer = evaluate(game, pairs.reshape(-1), x).reshape(2, -1)
+    inner, outer = evaluate_batch(game, pairs.reshape(-1), x).reshape(2, -1)
     return float(np.mean(outer - _effective_ratio(s1, s2) * inner))
 
 
@@ -234,8 +233,9 @@ def _band_loss(spec: ModulationSpec, logits: np.ndarray, ratio: float,
     if spec.kind == "encourage":
         loss = cross_entropy(delta, y)
     else:
-        probs = softmax(delta)
-        plogp = xlogy(probs, probs)
+        logp = log_softmax(delta)
+        probs = np.exp(logp)
+        plogp = probs * logp
         loss = float(plogp.sum(axis=1).mean())
     if not np.isfinite(loss):
         raise NumericError(f"{spec.kind} loss is not finite: {loss}")

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -452,3 +453,40 @@ def test_commands_run_on_one_blas_thread_and_restore_the_count(tmp_path, monkeyp
         assert seen == [1, 1] and get() == 2
     finally:
         put(previous)
+
+
+def test_freed_blocks_stay_in_the_heap_after_a_command(tmp_path):
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the heap thresholds are glibc's")
+    # three 300 KB temporaries at a time, like a forward pass over 768 rows:
+    # with glibc's adaptive thresholds each round maps, faults and trims them
+    # again (about 9000 minor faults for 50 rounds)
+    script = """
+import resource, sys
+import numpy as np
+from interaction_lab.cli import main
+assert main(["theory", "--n", "6", "--out", sys.argv[1]]) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    temporaries = [np.ones(300_000 // 8) for _ in range(3)]
+    del temporaries
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    src = Path(interaction_lab.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "curve.csv")],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout.split()[-1]) < 500
+
+
+def test_commands_run_without_mallopt(tmp_path, monkeypatch):
+    def no_library(*args, **kwargs):
+        raise OSError("no C library here")
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_library)
+    cli.keep_freed_memory.cache_clear()
+    try:
+        assert main(["theory", "--n", "6", "--out", str(tmp_path / "curve.csv")]) == 0
+    finally:
+        cli.keep_freed_memory.cache_clear()

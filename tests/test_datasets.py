@@ -1,4 +1,6 @@
 """Tests for CSV ingestion, splits, scaling, and the bundled tasks."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,36 @@ def test_loader_errors_name_row_and_column(tmp_path):
     path.write_text("a,b,label\n1.0,2.0,\n")
     with pytest.raises(SchemaError, match="row 1.*empty label"):
         load_dataset_csv(path, "label")
+
+
+def test_loader_parses_each_cell_as_float_does(tmp_path):
+    cells = [[" 1.5", "2e-3 ", "-0.0"], ["1_000.25", "\t7E+2", "0"],
+             ["3.141592653589793", "1e-320", "  -2.5e10  "]]
+    path = tmp_path / "cells.csv"
+    path.write_text("a,b,c,label\n" + "".join(",".join(row) + ",y\n" for row in cells))
+    loaded = load_dataset_csv(path, "label")
+    expected = np.array([[float(cell) for cell in row] for row in cells])
+    assert loaded.features.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("header, rows, message", [
+    ("a,b,label", ["1,2,y", "1,oops,y", "inf,2,y"],
+     "row 2: column 'b' has non-numeric cell 'oops'"),
+    ("a,b,label", ["1,2,y", "nan,2,y", "1,oops,y"], "row 2: column 'a' has non-finite cell 'nan'"),
+    ("a,b,label", ["1,2,y", "1,2", "1,2,"], "row 2: expected 3 cells, got 2"),
+    ("a,b,label", ["1,2, ", "1,2"], "row 1: empty label cell"),
+    ("a,b,label", ["1,2,y", "x,2,", "1,2,y"], "row 2: column 'a' has non-numeric cell 'x'"),
+    ("a,b,label", ["1,2,y", "1,-inf,", "1,2,y"], "row 2: column 'b' has non-finite cell '-inf'"),
+    ("a,label,b", ["1,y,2", "1,,oops", "z,y,2"], "row 2: empty label cell"),
+    ("a,label,b", ["1,y,2", "inf,,2"], "row 2: column 'a' has non-finite cell 'inf'"),
+])
+def test_loader_reports_the_first_bad_cell(tmp_path, header, rows, message):
+    # row-major order: earlier rows first, then the leftmost cell of the row
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\n" + "\n".join(rows) + "\n")
+    with pytest.raises(SchemaError) as info:
+        load_dataset_csv(path, "label")
+    assert str(info.value) == message
 
 
 def test_loader_structural_errors(tmp_path):
@@ -192,6 +224,19 @@ def test_bundled_presets_are_frozen():
     assert np.array_equal(pairs.features, again.features)
     with pytest.raises(ValidationError):
         bundled_dataset("mystery")
+
+
+@pytest.mark.parametrize("name, features_sha, labels_sha", [
+    ("pairs", "543407d85197f3e277fb0fa5e1cec90c3044412f89aff74b3f543a7ec15fd5bf",
+     "b1464d08b388e15d0cde98ef21449ce0dfffad53afe7bcd0869f8a08a329fb6d"),
+    ("conjunction", "0bd9718afe0e6dfe70790889804770dd9c33c3a0e18ec90d6690cc35f86923ec",
+     "c3aad582d630e673715a94fec6ced661151ec035a10b578a41e2944992644036"),
+])
+def test_bundled_presets_keep_their_bytes(name, features_sha, labels_sha):
+    # every trained model and byte-compared artifact starts from these rows
+    data = bundled_dataset(name)
+    assert hashlib.sha256(data.features.astype("<f8").tobytes()).hexdigest() == features_sha
+    assert hashlib.sha256(data.labels.astype("<i8").tobytes()).hexdigest() == labels_sha
 
 
 def test_resolve_dataset(tmp_path):

@@ -20,6 +20,9 @@ from interaction_lab import (
     synthetic_game,
     write_profile_csv,
 )
+from interaction_lab import interactions
+from interaction_lab.interactions import _SAMPLE_STREAM, _pair_grid
+from interaction_lab.rng import child_seed
 
 
 @pytest.fixture
@@ -164,7 +167,8 @@ def test_order_profile_degenerate_on_additive():
 def test_model_profile_is_rerun_identical():
     # MLP.forward is not bitwise batch-invariant, so a model-backed game (not a
     # closed-form one) is needed to expose batches that change between runs.
-    # n=10 reads a value table; n=17 evaluates one batch per (pair, order).
+    # n=10 reads a value table; n=17 sends each order's pairs through one
+    # chunked evaluate pass.
     for n in (10, 17):
         game = LogOddsGame(MLP([n, 32, 32, 2], seed=7), Baseline.zeros(n))
         sample = (np.random.default_rng(3).normal(size=n), 1)
@@ -173,6 +177,69 @@ def test_model_profile_is_rerun_identical():
         reruns = [order_profile(game, [sample], **kwargs).strengths for _ in range(3)]
         first = order_profile(game, [sample], **kwargs).strengths
         assert all(s == first for s in reruns)
+
+
+def _reference_strengths(game, samples, grid, pair_budget, subset_budget, seed):
+    """Mean |interaction_order_mc| over each sample's pair grid, averaged over samples."""
+    n = game.n
+    per_sample = []
+    for t, sample in enumerate(samples):
+        sample_seed = child_seed(seed, _SAMPLE_STREAM, t)
+        per_sample.append([np.mean([
+            abs(interaction_order_mc(game, i, j, m, min(subset_budget, comb(n - 2, m)),
+                                     sample_seed, x=sample).value)
+            for i, j in _pair_grid(n, pair_budget, sample_seed, m)]) for m in grid])
+    return np.array(per_sample).mean(axis=0).tolist()
+
+
+@pytest.mark.parametrize("n, grid, pair_budget, group_masks", [
+    # 16 contexts enumerate the outermost orders and sample the rest
+    (17, None, 12, 65536),
+    (17, [1, 3, 8, 14], 136, 65536),
+    (20, None, 10, 65536),
+    (20, [2, 4, 6, 8, 10, 12, 14, 16], 40, 65536),
+    # groups of three pairs, the last one short
+    (20, [0, 1, 9], 10, 200),
+])
+def test_sampled_profile_matches_the_pairwise_estimator(n, grid, pair_budget, group_masks,
+                                                        monkeypatch):
+    monkeypatch.setattr(interactions, "_GROUP_MASKS", group_masks)
+    samples_by_game = [
+        (synthetic_game(SyntheticGame.random_polynomial(n, degree=7, num_terms=40, seed=n)),
+         [None, None], 0),
+        (LogOddsGame(MLP([n, 24, 24, 3], seed=n), Baseline.zeros(n)),
+         [(np.random.default_rng(t).normal(size=n), t) for t in range(2)], 1e-12),
+    ]
+    for game, samples, rel in samples_by_game:
+        profile = order_profile(game, samples, grid, pair_budget=pair_budget,
+                                subset_budget=16, seed=5)
+        expected = _reference_strengths(game, samples, profile.order_grid, pair_budget, 16, 5)
+        if rel:
+            assert profile.strengths == pytest.approx(expected, rel=rel, abs=0)
+        else:
+            assert list(profile.strengths) == expected
+
+
+def test_sampled_profile_bounds_each_evaluate_call(monkeypatch):
+    sizes = []
+    real_evaluate = interactions.evaluate
+
+    def recording_evaluate(game, bits, x=None):
+        sizes.append(len(bits))
+        return real_evaluate(game, bits, x)
+
+    monkeypatch.setattr(interactions, "evaluate", recording_evaluate)
+    game = synthetic_game(SyntheticGame.random_polynomial(24, degree=4, num_terms=10, seed=1))
+    # 65536 // (4 * 48) = 341 pairs fit in one call, so all 276 pairs go together
+    order_profile(game, [None], [5], pair_budget=276, subset_budget=48, seed=0)
+    assert sizes == [276 * 4 * 48]
+    sizes.clear()
+    # 4 * 20000 masks per pair: one pair per call, as many masks as one pair needs
+    order_profile(game, [None], [5], pair_budget=3, subset_budget=20000, seed=0)
+    assert sizes == [80000] * 3
+    sizes.clear()
+    order_profile(game, [None], [5], pair_budget=276, subset_budget=100, seed=0)
+    assert max(sizes) <= 65536 and sum(sizes) == 276 * 400
 
 
 @pytest.mark.parametrize("n", [8, 10])
