@@ -26,10 +26,10 @@ from .interactions import (
     OrderProfile,
     default_order_grid,
     efficiency_residual,
-    efficiency_weight,
     interaction_order_exact,
     interaction_order_mc,
     order_profile,
+    order_weights,
     read_profile_csv,
     write_profile_csv,
 )
@@ -40,12 +40,9 @@ from .mlp import (
     ce_value_and_grad,
     cross_entropy,
     cross_entropy_grad,
-    flatten_grads,
-    get_flat_params,
     load_model,
     log_softmax,
     save_model,
-    set_flat_params,
     softmax,
 )
 from .modulation import (
@@ -53,10 +50,7 @@ from .modulation import (
     band_sizes,
     band_value_and_grad,
     combined_value_and_grad,
-    delta_u,
-    order_weights,
     round_half_up,
-    theorem2_weight,
     verify_theorem2,
 )
 from .rng import child_seed, make_rng
@@ -79,7 +73,6 @@ from .training import (
     TrainConfig,
     TrainLog,
     VARIANT_TERMS,
-    read_train_log,
     train,
     write_snapshots,
     write_train_log,
@@ -88,13 +81,11 @@ from .theory import (
     EffectiveNFit,
     GradSimConfig,
     TheoryCurve,
-    argmin_order,
     contextual_variability,
     fit_effective_n,
     learning_strength_hat,
     mean_norm_gaussian,
     predicted_update_norm,
-    read_theory_csv,
     simulate_curve,
     simulate_learning_strength,
     theory_curve,

@@ -23,7 +23,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -126,7 +126,7 @@ def value_table(game: ValueFunction, x=None) -> np.ndarray:
 
     The masks go through evaluate in ascending order. The GuardError raised
     here is the one size guard of every quantity read from a table: exact
-    profiles, efficiency_residual, exact delta_u and verify_theorem2.
+    profiles, efficiency_residual and verify_theorem2.
     """
     n = game.n
     if n > MAX_TABLE_PLAYERS:
@@ -374,10 +374,21 @@ def order_profile(game: ValueFunction, samples: Sequence,
                         degenerate=degenerate)
 
 
-def efficiency_weight(n: int, m: int) -> float:
-    """Weight of order-m interactions in the efficiency identity (ordered pairs)."""
-    _check_order(n, m)
-    return (n - 1 - m) / (n * (n - 1))
+def order_weights(n: int, coeffs: Mapping[int, float]) -> np.ndarray:
+    """Weight w(m) of the order-m interactions, m = 0..n-2, in a signal sum_s c_s mu_s.
+
+    mu_s is the mean of v over the coalitions of size s, and coeffs maps each
+    size s to its c_s. Expanding the signal in per-order interactions over
+    ordered pairs gives
+
+        w(m) = sum_s c_s (s - 1 - m)_+ / (n (n - 1)),
+
+    next to sum_s c_s v(empty) and (sum_s s c_s) / n times the independent
+    effects sum_i [v({i}) - v(empty)]. The efficiency identity is c_n = 1,
+    c_0 = -1; the band signal of verify_theorem2 is c_{s2} = 1, c_{s1} = -s2/s1.
+    """
+    m = np.arange(n - 1)
+    return sum(c * np.maximum(s - 1 - m, 0) for s, c in coeffs.items()) / (n * (n - 1))
 
 
 def efficiency_residual(game: ValueFunction, x=None) -> EfficiencyReport:
@@ -389,7 +400,7 @@ def efficiency_residual(game: ValueFunction, x=None) -> EfficiencyReport:
         v(full) = v(empty) + sum_i [v({i}) - v(empty)]
                   + sum_m w(m) * sum over ordered pairs of I_m(i, j)
 
-    with w(m) = (n - 1 - m) / (n (n - 1)).
+    with w(m) = (n - 1 - m) / (n (n - 1)), order_weights of c_n = 1, c_0 = -1.
     """
     n = game.n
     table = value_table(game, x)
@@ -397,7 +408,7 @@ def efficiency_residual(game: ValueFunction, x=None) -> EfficiencyReport:
     v_empty = float(table[0])
     independent = float(sum(table[1 << i] - v_empty for i in range(n)))
 
-    weights = np.array([efficiency_weight(n, m) for m in range(n - 1)])
+    weights = order_weights(n, {n: 1.0, 0: -1.0})
     per_order = np.zeros(n - 1)
     for lo, hi in itertools.combinations(range(n), 2):
         # ordered pairs: (i, j) and (j, i) contribute the same interaction

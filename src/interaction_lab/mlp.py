@@ -224,37 +224,6 @@ def ce_value_and_grad(model: MLP, X, labels) -> tuple[float, ParamGrads]:
     return loss, model.backward(trace, dlogits)
 
 
-def get_flat_params(model: MLP) -> np.ndarray:
-    parts = []
-    for w, b in zip(model.weights, model.biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
-
-
-def set_flat_params(model: MLP, vec: np.ndarray) -> None:
-    vec = np.asarray(vec, dtype=float)
-    offset = 0
-    for l in range(len(model.weights)):
-        for attr, arr in (("weights", model.weights[l]), ("biases", model.biases[l])):
-            chunk = vec[offset:offset + arr.size]
-            if chunk.size != arr.size:
-                raise DimensionError("flat vector does not match the parameter count")
-            getattr(model, attr)[l] = chunk.reshape(arr.shape).copy()
-            offset += arr.size
-    if offset != vec.size:
-        raise DimensionError(
-            f"flat vector has {vec.size} entries, model has {offset} parameters")
-
-
-def flatten_grads(grads: ParamGrads) -> np.ndarray:
-    parts = []
-    for w, b in zip(grads.weights, grads.biases):
-        parts.append(np.asarray(w).ravel())
-        parts.append(np.asarray(b).ravel())
-    return np.concatenate(parts)
-
-
 def save_model(path, model: MLP, meta=None) -> None:
     """JSON with layer sizes, parameters, and init seed; round-trips bit-exactly.
 

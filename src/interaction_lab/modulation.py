@@ -1,8 +1,8 @@
 """Band-selective output differences and the losses built on them.
 
-For fractions r1 < r2 with sizes s_k = round(r_k * n) (half up), the signal
+For fractions r1 < r2 with sizes s_k = round(r_k * n) (half up), the band signal
 
-    delta_u(r1, r2) = E[ v(S2) - (s2/s1) * v(S1) ]        (S1 strictly inside S2)
+    Du(r1, r2) = E[ v(S2) - (s2/s1) * v(S1) ]        (S1 strictly inside S2)
 
 averages over nested subset pairs |S1| = s1, |S2| = s2. Sampling takes one
 uniform permutation of the n player bits per pair: S2 is its first s2
@@ -12,22 +12,24 @@ both marginals are uniform and the pair distribution matches the nested
 expectation. A training loss draws every pair of one step's batch from one
 generator per (step, term), pair_samples consecutive pairs per row.
 
-Expanding delta_u in per-order interactions gives a closed-form weight for
-every order that vanishes above s2 - 2, so the signal only listens to orders
-inside the band; verify_theorem2 checks that expansion against exact
-per-order interactions read from a full value table.
+Both marginals being uniform, Du = mu_{s2} - (s2/s1) mu_{s1}, where mu_s is the
+mean of v over size s. Expanding it in per-order interactions gives the
+interactions.order_weights of that sum, which vanish above order s2 - 2, so
+the signal only listens to orders inside the band; verify_theorem2 checks
+that expansion against exact per-order interactions read from a full value
+table.
 
 Two training losses act through the per-class version of the signal: the
-encouraging loss classifies with softmax(delta_u_c) (forcing the banded
+encouraging loss classifies with softmax(Du_c) (forcing the banded
 orders to carry label information), and the suppressing loss maximizes the
 entropy of that softmax (draining them). band_value_and_grad returns one
 term's loss with its parameter gradient, and combined_value_and_grad adds
 the weighted terms to the plain cross-entropy in one pass: the batch and
 every active term's masked stack go through one forward and one backward,
 and each term's logits block is turned into its loss and logits gradient by
-the same helper band_value_and_grad uses. At r1 = 0 the s2/s1 ratio is
-undefined; the documented convention is delta_u(0, r2) = E[v(S2)] - v(empty),
-and the closed-form weight refuses r1 = 0 outright.
+the same helper band_value_and_grad uses. Where s1 rounds to 0 the s2/s1
+ratio is undefined; the convention there is Du(r1, r2) = E[v(S2)] - v(empty),
+and verify_theorem2 refuses such a band outright.
 """
 from __future__ import annotations
 
@@ -39,8 +41,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NumericError, ValidationError
-from .games import _PLAYER_BITS, Baseline, ValueFunction, masked_matrix
-from .interactions import evaluate_batch, pair_order_means, size_means, value_table
+from .games import _PLAYER_BITS, Baseline, masked_matrix
+from .interactions import order_weights, pair_order_means, size_means, value_table
 from .mlp import (MLP, ParamGrads, _checked_cross_entropy, ce_value_and_grad, cross_entropy,
                   cross_entropy_grad, log_softmax)
 from .rng import child_seed, make_rng
@@ -123,36 +125,6 @@ class ModulationSpec:
                    pair_samples=obj.get("pair_samples", 4))
 
 
-def theorem2_weight(n: int, r1: float, r2: float, m: int) -> float:
-    """Weight of order-m interactions (ordered pairs) in delta_u's expansion.
-
-    Piecewise in m with boundaries at the rounded sizes:
-      m <= s1 - 2:            (s2/s1 - 1) * (m + 1) / (n (n - 1))
-      s1 - 2 < m <= s2 - 2:   (s2 - m - 1) / (n (n - 1))
-      m > s2 - 2:             0
-    Undefined at r1 = 0 (the s2/s1 ratio); delta_u documents the convention
-    used there instead.
-    """
-    if r1 == 0:
-        raise DomainError(
-            "the closed-form weight is undefined at r1=0; "
-            "delta_u uses the convention delta_u(0, r2) = E[v(S2)] - v(empty)")
-    if not (0 <= m <= n - 2):
-        raise DomainError(f"context size {m} outside [0, {n - 2}] for n={n}")
-    s1, s2 = band_sizes(n, r1, r2)
-    denom = n * (n - 1)
-    if m <= s1 - 2:
-        return (s2 / s1 - 1.0) * (m + 1) / denom
-    if m <= s2 - 2:
-        return (s2 - m - 1) / denom
-    return 0.0
-
-
-def order_weights(n: int, r1: float, r2: float) -> np.ndarray:
-    """theorem2_weight at every order 0..n-2."""
-    return np.array([theorem2_weight(n, r1, r2, m) for m in range(n - 1)])
-
-
 def _effective_ratio(s1: int, s2: int) -> float:
     # rounded sizes, not raw fractions: the expansion is exact only for s2/s1
     return s2 / s1 if s1 > 0 else 1.0
@@ -175,28 +147,6 @@ def _exact_delta_u(table: np.ndarray, n: int, s1: int, s2: int) -> float:
     # into the mean value at size s2 minus ratio times the mean at size s1
     means = size_means(table, n)
     return float(means[s2] - _effective_ratio(s1, s2) * means[s1])
-
-
-def delta_u(game: ValueFunction, r1: float, r2: float, pair_samples: int, seed: int,
-            x=None, exact: bool = False) -> float:
-    """Band-selective output difference E[v(S2) - (s2/s1) v(S1)].
-
-    exact mode reads the game's value table (so n <= MAX_TABLE_PLAYERS):
-    because both marginals of the nested pair are uniform, the expectation is
-    the mean of v over size s2 minus s2/s1 times the mean over size s1, one
-    popcount bincount over the table. It ignores pair_samples and seed.
-    Otherwise pair_samples pairs are drawn from the stream of the given seed
-    and evaluated in one batch. At r1 = 0: E[v(S2)] - v(empty).
-    """
-    n = game.n
-    s1, s2 = band_sizes(n, r1, r2)
-    if exact:
-        return _exact_delta_u(value_table(game, x), n, s1, s2)
-    if pair_samples < 1:
-        raise DomainError(f"pair_samples must be positive, got {pair_samples}")
-    pairs = _sample_pairs(n, s1, s2, pair_samples, make_rng(seed))
-    inner, outer = evaluate_batch(game, pairs.reshape(-1), x).reshape(2, -1)
-    return float(np.mean(outer - _effective_ratio(s1, s2) * inner))
 
 
 def _band_stack(spec: ModulationSpec, X: np.ndarray, baseline: Baseline,
@@ -224,7 +174,7 @@ def _band_loss(spec: ModulationSpec, logits: np.ndarray, ratio: float,
                y) -> tuple[float, np.ndarray]:
     """One term's loss and d(loss)/d(logits) from its stack's logits block.
 
-    delta is the per-row, per-class delta_u of the block's pairs; the loss
+    delta is the per-row, per-class Du of the block's pairs; the loss
     is the one band_value_and_grad documents, with spec.lam not applied.
     """
     pair_samples = spec.pair_samples
@@ -294,25 +244,29 @@ def combined_value_and_grad(model: MLP, X, y, terms: Sequence[ModulationSpec],
 
 
 def verify_theorem2(n: int, r1: float, r2: float, num_games: int, seed: int) -> float:
-    """Max |delta_u - closed-form reconstruction| over random polynomial games.
+    """Max |band signal - closed-form reconstruction| over random polynomial games.
 
     The reconstruction is (1 - s2/s1) v(empty) plus the weighted ordered-pair
-    sum of exact per-order interactions, with weights from theorem2_weight.
-    The pair sum must run over ordered pairs: collapsing to unordered pairs
-    halves the interaction mass and leaves O(1) residuals. Each game's value
-    table (so n <= MAX_TABLE_PLAYERS) is evaluated once and read by both
-    sides: exact delta_u from its size means, the interactions from
-    pair_order_means.
+    sum of exact per-order interactions, with the order_weights of c_{s2} = 1,
+    c_{s1} = -s2/s1. The pair sum must run over ordered pairs: collapsing to
+    unordered pairs halves the interaction mass and leaves O(1) residuals.
+    Each game's value table (so n <= MAX_TABLE_PLAYERS) is evaluated once and
+    read by both sides: the exact signal from its size means, the
+    interactions from pair_order_means. A band whose s1 rounds to 0 is
+    refused: the ratio is undefined there, and the signal's convention keeps
+    an independent-effects term the reconstruction does not have.
     """
-    if r1 == 0:
-        raise DomainError("verification needs r1 > 0; the expansion is undefined at r1=0")
     if num_games < 1:
         raise DomainError(f"num_games must be positive, got {num_games}")
+    s1, s2 = band_sizes(n, r1, r2)
+    if s1 == 0:
+        raise DomainError(
+            f"verification needs s1 > 0; r1={r1} rounds to s1=0 at n={n}, "
+            "where the expansion is undefined")
     from .games import SyntheticGame, synthetic_game
 
-    s1, s2 = band_sizes(n, r1, r2)
-    ratio = _effective_ratio(s1, s2)
-    weights = order_weights(n, r1, r2)
+    ratio = s2 / s1
+    weights = order_weights(n, {s2: 1.0, s1: -ratio})
     worst = 0.0
     for g in range(num_games):
         spec = SyntheticGame.random_polynomial(

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, exp, lgamma, log, sqrt
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, GuardError, ValidationError
 from .interactions import OrderProfile
 from .rng import make_rng
-from .textio import format_float, read_csv, write_csv
+from .textio import format_float, write_csv
 
 MAX_SIMULATED_CONTEXTS = 1_000_000
 MAX_CURVE_PLAYERS = 1000  # every C(n-2, m) stays inside the float range
@@ -94,13 +93,6 @@ def theory_curve(n: int) -> TheoryCurve:
     grid = tuple(range(n - 1))
     return TheoryCurve(n=n, orders=grid,
                        f_hat=tuple(learning_strength_hat(n, m) for m in grid))
-
-
-def argmin_order(orders: Sequence[int], values: Sequence[float]) -> int:
-    """Order at which the curve bottoms out (first on ties)."""
-    if len(orders) != len(values) or not orders:
-        raise DomainError("orders and values must be equal-length and non-empty")
-    return int(orders[int(np.argmin(values))])
 
 
 def mean_norm_gaussian(k: int, scale: float) -> float:
@@ -207,9 +199,3 @@ def write_theory_csv(path, curve: TheoryCurve, meta=None) -> None:
     rows = [(str(m), format_float(v)) for m, v in zip(curve.orders, curve.f_hat)]
     write_csv(path, THEORY_HEADER, rows, meta)
 
-
-def read_theory_csv(path) -> tuple[tuple[int, ...], tuple[float, ...], dict[str, str]]:
-    raw, meta = read_csv(path, THEORY_HEADER)
-    orders = tuple(int(r[0]) for r in raw)
-    f_hat = tuple(float(r[1]) for r in raw)
-    return orders, f_hat, meta

@@ -31,7 +31,7 @@ from .interactions import (MAX_TABLE_PLAYERS, LogOddsGame, OrderProfile, order_p
 from .mlp import MLP, accuracy, cross_entropy
 from .modulation import ModulationSpec, combined_value_and_grad
 from .rng import child_seed, make_rng
-from .textio import format_float, read_csv, write_csv
+from .textio import format_float, write_csv
 
 TRAIN_LOG_HEADER = "epoch,train_loss,train_acc,val_loss,val_acc"
 PROBE_ROWS = 16
@@ -206,13 +206,6 @@ def write_train_log(path, log: TrainLog, meta=None) -> None:
     rows = [[str(s.epoch), format_float(s.train_loss), format_float(s.train_acc),
              format_float(s.val_loss), format_float(s.val_acc)] for s in log.epochs]
     write_csv(path, TRAIN_LOG_HEADER, rows, meta)
-
-
-def read_train_log(path) -> tuple[TrainLog, dict[str, str]]:
-    rows, meta = read_csv(path, TRAIN_LOG_HEADER)
-    stats = tuple(EpochStats(int(r[0]), float(r[1]), float(r[2]), float(r[3]), float(r[4]))
-                  for r in rows)
-    return TrainLog(stats), meta
 
 
 def write_snapshots(out_dir, log: TrainLog, meta=None) -> list[str]:

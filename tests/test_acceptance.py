@@ -22,21 +22,16 @@ from interaction_lab import (
     GradSimConfig,
     ModulationSpec,
     SyntheticGame,
-    argmin_order,
     band_value_and_grad,
     ce_value_and_grad,
     combined_value_and_grad,
     cross_entropy,
     efficiency_residual,
-    flatten_grads,
-    get_flat_params,
     interaction_order_exact,
     interaction_order_mc,
     learning_strength_hat,
     read_profile_csv,
-    read_train_log,
     round_half_up,
-    set_flat_params,
     simulate_curve,
     synthetic_game,
     theory_curve,
@@ -44,6 +39,10 @@ from interaction_lab import (
 )
 from interaction_lab.cli import main
 from interaction_lab.rng import make_rng
+from interaction_lab.textio import read_csv
+from interaction_lab.training import TRAIN_LOG_HEADER, EpochStats
+
+from _fd import fd_check
 
 VARIANTS = ("normal", "low", "mid", "high")
 TRAIN_CONFIG = {"epochs": 300, "batch_size": 32, "learning_rate": 0.1,
@@ -92,8 +91,8 @@ def _band_fraction(profile, orders):
 def _final_epochs(pipeline):
     out = {}
     for variant in VARIANTS:
-        log, _ = read_train_log(pipeline["root"] / variant / "train_log.csv")
-        out[variant] = log.epochs[-1]
+        rows, _ = read_csv(pipeline["root"] / variant / "train_log.csv", TRAIN_LOG_HEADER)
+        out[variant] = EpochStats(int(rows[-1][0]), *map(float, rows[-1][1:]))
     return out
 
 
@@ -132,7 +131,7 @@ def test_03_simulated_update_norms_match_closed_form():
 def test_04_closed_form_curve_dips_in_middle_third():
     for n in range(8, 33):
         curve = theory_curve(n)
-        dip = argmin_order(curve.orders, curve.f_hat)
+        dip = curve.orders[int(np.argmin(curve.f_hat))]
         lo = round_half_up((n - 2) / 3)
         hi = round_half_up(2 * (n - 2) / 3)
         assert lo <= dip <= hi, f"n={n}: argmin {dip} outside [{lo}, {hi}]"
@@ -167,20 +166,7 @@ def test_05_sampled_estimates_track_enumeration():
     assert time.monotonic() - start < 180
 
 
-def _fd_check(model, loss_fn, grads, stride=5, eps=1e-4, tol=1e-4):
-    theta = get_flat_params(model)
-    flat = flatten_grads(grads)
-    for idx in range(0, theta.size, stride):
-        vec = theta.copy()
-        vec[idx] += eps
-        set_flat_params(model, vec)
-        up = loss_fn()
-        vec[idx] -= 2 * eps
-        set_flat_params(model, vec)
-        dn = loss_fn()
-        set_flat_params(model, theta)
-        fd = (up - dn) / (2 * eps)
-        assert flat[idx] == pytest.approx(fd, rel=tol, abs=1e-8), f"index {idx}"
+_FD = {"stride": 5, "eps": 1e-4, "rel": 1e-4, "abs": 1e-8}
 
 
 def _grad_fixture(seed):
@@ -200,26 +186,26 @@ def test_06_loss_gradients_match_finite_differences():
 
     model, X, y, _ = _grad_fixture(seed=101)
     _, grads = ce_value_and_grad(model, X, y)
-    _fd_check(model, lambda: float(cross_entropy(model.forward(X), y)), grads)
+    fd_check(model, lambda: float(cross_entropy(model.forward(X), y)), grads, **_FD)
 
     model, X, y, base = _grad_fixture(seed=102)
     spec = ModulationSpec("encourage", 0.3, 0.7, 1.0, 2)
     _, grads = band_value_and_grad(spec, model, X, y, 7, base)
-    _fd_check(model,
-              lambda: band_value_and_grad(spec, model, X, y, 7, base)[0], grads)
+    fd_check(model,
+             lambda: band_value_and_grad(spec, model, X, y, 7, base)[0], grads, **_FD)
 
     model, X, y, base = _grad_fixture(seed=103)
     spec = ModulationSpec("suppress", 0.7, 1.0, 1.0, 2)
     _, grads = band_value_and_grad(spec, model, X, y, 8, base)
-    _fd_check(model,
-              lambda: band_value_and_grad(spec, model, X, y, 8, base)[0], grads)
+    fd_check(model,
+             lambda: band_value_and_grad(spec, model, X, y, 8, base)[0], grads, **_FD)
 
     model, X, y, base = _grad_fixture(seed=104)
     terms = [ModulationSpec("encourage", 0.3, 0.7, 0.5),
              ModulationSpec("suppress", 0.7, 1.0, 0.7)]
     _, grads = combined_value_and_grad(model, X, y, terms, 9, base)
-    _fd_check(model,
-              lambda: combined_value_and_grad(model, X, y, terms, 9, base)[0], grads)
+    fd_check(model,
+             lambda: combined_value_and_grad(model, X, y, terms, 9, base)[0], grads, **_FD)
 
     assert time.monotonic() - start < 60
 

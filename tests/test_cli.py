@@ -213,6 +213,17 @@ def test_verify_failure_exits_2(monkeypatch, capsys):
     assert "error: verification:" in captured.err
 
 
+def test_verify_gradsim_checks_absolute_norms(monkeypatch, capsys):
+    # the ratios to order 0 still match; only the absolute norms are off
+    predicted = cli.predicted_update_norm
+    monkeypatch.setattr(cli, "predicted_update_norm", lambda *a: 2.0 * predicted(*a))
+    code = main(["verify", "--suite", "gradsim"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "status=FAIL" in captured.out and "max_norm_deviation=" in captured.out
+    assert "error: verification:" in captured.err
+
+
 def test_usage_errors_exit_1(capsys):
     assert main([]) == 1
     assert "error: validation:" in capsys.readouterr().err
@@ -385,6 +396,21 @@ def test_malformed_input_is_one_error_line(argv, workdir, tmp_path, capsys, monk
     lines = capsys.readouterr().err.splitlines()
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("error: validation: ")
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param({"hidden_sizes": [10**15]}, id="huge-hidden-size"),
+    pytest.param({"terms": [{"kind": "suppress", "r1": 0.7, "r2": 1.0, "lambda": 1.0,
+                             "pair_samples": 10**12}]}, id="huge-pair-samples"),
+])
+def test_unallocatable_size_is_one_error_line(overrides, workdir, tmp_path, capsys):
+    # training starts, and numpy refuses the model's or the first step's
+    # arrays at once, so these cannot fail before cli.train runs
+    code = main(_train(overrides)(workdir, tmp_path))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: validation: Unable to allocate")
+    assert "Traceback" not in err
 
 
 def _must_not_run(name):

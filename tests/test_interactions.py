@@ -12,10 +12,10 @@ from interaction_lab import (
     ValidationError,
     default_order_grid,
     efficiency_residual,
-    efficiency_weight,
     interaction_order_exact,
     interaction_order_mc,
     order_profile,
+    order_weights,
     read_profile_csv,
     synthetic_game,
     write_profile_csv,
@@ -93,9 +93,12 @@ def test_interaction_order_guards():
 
 
 def test_efficiency_weight_values():
-    assert efficiency_weight(4, 0) == pytest.approx(3 / 12)
-    assert efficiency_weight(4, 2) == pytest.approx(1 / 12)
-    assert efficiency_weight(12, 10) == pytest.approx(1 / 132)
+    # c_n = 1, c_0 = -1 gives (n - 1 - m) / (n (n - 1)), bit for bit
+    assert order_weights(4, {4: 1.0, 0: -1.0}).tolist() == [3 / 12, 2 / 12, 1 / 12]
+    assert order_weights(12, {12: 1.0, 0: -1.0})[10] == 1 / 132
+    for n in range(3, 17):
+        want = [(n - 1 - m) / (n * (n - 1)) for m in range(n - 1)]
+        assert order_weights(n, {n: 1.0, 0: -1.0}).tolist() == want
 
 
 @pytest.mark.parametrize("n,seed", [(4, 0), (6, 1), (9, 2)])

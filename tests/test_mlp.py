@@ -14,15 +14,14 @@ from interaction_lab import (
     ce_value_and_grad,
     cross_entropy,
     cross_entropy_grad,
-    flatten_grads,
-    get_flat_params,
     load_model,
     log_softmax,
     make_rng,
     save_model,
-    set_flat_params,
     softmax,
 )
+
+from _fd import fd_check
 
 
 def _jittered(layer_sizes, seed=0):
@@ -143,22 +142,8 @@ def test_ce_param_gradient_matches_fd():
     X = rng.normal(size=(5, 4))
     y = np.array([0, 1, 2, 0, 1])
     _, grads = ce_value_and_grad(model, X, y)
-    flat_g = flatten_grads(grads)
-    theta = get_flat_params(model)
-    eps = 1e-6
-    for idx in range(0, theta.size, 7):
-        for sign, store in ((1, "up"), (-1, "dn")):
-            vec = theta.copy()
-            vec[idx] += sign * eps
-            set_flat_params(model, vec)
-            val, _ = ce_value_and_grad(model, X, y)
-            if store == "up":
-                up = val
-            else:
-                dn = val
-        fd = (up - dn) / (2 * eps)
-        set_flat_params(model, theta)
-        assert flat_g[idx] == pytest.approx(fd, rel=1e-4, abs=1e-9)
+    fd_check(model, lambda: ce_value_and_grad(model, X, y)[0], grads,
+             stride=7, eps=1e-6, rel=1e-4, abs=1e-9)
 
 
 def test_ce_input_gradient_matches_fd():
@@ -177,16 +162,6 @@ def test_ce_input_gradient_matches_fd():
             fd = (ce_value_and_grad(model, up, y)[0]
                   - ce_value_and_grad(model, dn, y)[0]) / (2 * eps)
             assert grad[r, c] == pytest.approx(fd, rel=1e-5, abs=1e-9)
-
-
-def test_flat_params_round_trip():
-    model = MLP((3, 4, 2), seed=2)
-    theta = get_flat_params(model)
-    other = MLP((3, 4, 2), seed=99)
-    set_flat_params(other, theta)
-    assert all(np.array_equal(a, b) for a, b in zip(model.weights, other.weights))
-    with pytest.raises(DimensionError):
-        set_flat_params(model, theta[:-1])
 
 
 def test_save_load_round_trip(tmp_path):

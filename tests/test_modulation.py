@@ -21,18 +21,16 @@ from interaction_lab import (
     ce_value_and_grad,
     child_seed,
     combined_value_and_grad,
-    delta_u,
-    flatten_grads,
-    get_flat_params,
     make_rng,
     order_weights,
     round_half_up,
-    set_flat_params,
     synthetic_game,
-    theorem2_weight,
     verify_theorem2,
 )
-from interaction_lab.modulation import _ROW_STREAM, _band_stack, _sample_pairs
+from interaction_lab.interactions import value_table
+from interaction_lab.modulation import _ROW_STREAM, _band_stack, _exact_delta_u, _sample_pairs
+
+from _fd import fd_check, flatten_grads
 
 
 def test_round_half_up():
@@ -82,16 +80,40 @@ def test_modulation_spec_json_round_trip():
         ModulationSpec.from_json_dict({"kind": "suppress", "r1": 0, "r2": 1})
 
 
+def _piecewise_weight(n, r1, r2, m):
+    """The band signal's order-m weight, written out piecewise at the rounded sizes."""
+    s1, s2 = band_sizes(n, r1, r2)
+    if m <= s1 - 2:
+        return (s2 / s1 - 1.0) * (m + 1) / (n * (n - 1))
+    if m <= s2 - 2:
+        return (s2 - m - 1) / (n * (n - 1))
+    return 0.0
+
+
+def _band_weights(n, r1, r2):
+    s1, s2 = band_sizes(n, r1, r2)
+    return order_weights(n, {s2: 1.0, s1: -s2 / s1})
+
+
 def test_theorem2_weight_reference_points():
-    assert theorem2_weight(10, 0.2, 0.5, 0) == pytest.approx(1 / 60)
-    assert theorem2_weight(10, 0.2, 0.5, 2) == pytest.approx(2 / 90)
-    assert theorem2_weight(10, 0.2, 0.5, 5) == 0.0
+    w = _band_weights(10, 0.2, 0.5)
+    assert w[0] == pytest.approx(1 / 60)
+    assert w[2] == pytest.approx(2 / 90)
+    assert w[5] == 0.0
+
+
+def test_theorem2_weight_matches_the_piecewise_form():
+    # every band of whole sizes 0 < s1 < s2 <= n, for n = 3..16
+    for n in range(3, 17):
+        for s1, s2 in itertools.combinations(range(1, n + 1), 2):
+            want = [_piecewise_weight(n, s1 / n, s2 / n, m) for m in range(n - 1)]
+            assert _band_weights(n, s1 / n, s2 / n) == pytest.approx(want, rel=0, abs=1e-16)
 
 
 def test_theorem2_weight_band_structure():
     n, r1, r2 = 12, 0.3, 0.7
     s1, s2 = band_sizes(n, r1, r2)
-    w = order_weights(n, r1, r2)
+    w = _band_weights(n, r1, r2)
     assert len(w) == n - 1
     for m in range(n - 1):
         if m <= s2 - 2:
@@ -102,42 +124,25 @@ def test_theorem2_weight_band_structure():
     assert w[s1 - 1] == max(w)
 
 
-def test_theorem2_weight_guards():
-    with pytest.raises(DomainError):
-        theorem2_weight(10, 0.0, 0.5, 1)
-    with pytest.raises(DomainError):
-        theorem2_weight(10, 0.2, 0.5, 9)
+def _exact(game, r1, r2):
+    return _exact_delta_u(value_table(game), game.n, *band_sizes(game.n, r1, r2))
 
 
 def test_delta_u_additive_cancellation():
     game = synthetic_game(SyntheticGame.additive([1.0, 2.0, 3.0, 4.0]))
-    val = delta_u(game, 0.5, 1.0, pair_samples=1, seed=0, exact=True)
-    assert val == pytest.approx(0.0, abs=1e-12)
+    assert _exact(game, 0.5, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_delta_u_conjunction_enumeration():
     """v(S2)=1 always at s2=4; exactly 1 of 6 inner pairs hits the coalition."""
     game = synthetic_game(SyntheticGame.conjunction(4, [0, 1]))
-    val = delta_u(game, 0.5, 1.0, pair_samples=1, seed=0, exact=True)
-    assert val == pytest.approx(1.0 - 2.0 * (1 / 6))
+    assert _exact(game, 0.5, 1.0) == pytest.approx(1.0 - 2.0 * (1 / 6))
 
 
 def test_delta_u_zero_lower_fraction_convention():
     # at r1=0 the coefficient is 1 and the inner term is v(empty)
     game = synthetic_game(SyntheticGame.additive([1.0, 2.0, 3.0, 4.0]))
-    val = delta_u(game, 0.0, 0.5, pair_samples=1, seed=0, exact=True)
-    assert val == pytest.approx((2 / 4) * 10.0)
-
-
-def test_delta_u_exact_ignores_seed_and_sampling_converges():
-    spec = SyntheticGame.random_polynomial(8, 3, 12, seed=6)
-    game = synthetic_game(spec)
-    exact = delta_u(game, 0.25, 0.75, pair_samples=1, seed=1, exact=True)
-    assert delta_u(game, 0.25, 0.75, pair_samples=1, seed=99, exact=True) == exact
-    sampled = delta_u(game, 0.25, 0.75, pair_samples=4000, seed=3)
-    assert sampled == pytest.approx(exact, abs=0.1)
-    assert delta_u(game, 0.25, 0.75, pair_samples=16, seed=3) == \
-        delta_u(game, 0.25, 0.75, pair_samples=16, seed=3)
+    assert _exact(game, 0.0, 0.5) == pytest.approx((2 / 4) * 10.0)
 
 
 def _nested_pair_delta_u(game, r1, r2):
@@ -161,17 +166,17 @@ def _nested_pair_delta_u(game, r1, r2):
 def test_exact_delta_u_matches_nested_pair_enumeration(n, bands):
     game = synthetic_game(SyntheticGame.random_polynomial(n, n, 2 * n + 5, seed=n))
     for r1, r2 in bands:
-        exact = delta_u(game, r1, r2, pair_samples=1, seed=0, exact=True)
-        assert exact == pytest.approx(_nested_pair_delta_u(game, r1, r2), rel=0, abs=1e-12)
+        assert _exact(game, r1, r2) == pytest.approx(_nested_pair_delta_u(game, r1, r2),
+                                                    rel=0, abs=1e-12)
 
 
 def test_table_backed_checks_share_the_value_table_guard():
     game = synthetic_game(SyntheticGame.random_polynomial(16, 16, 37, seed=1))
-    assert np.isfinite(delta_u(game, 0.25, 0.75, pair_samples=1, seed=0, exact=True))
+    assert np.isfinite(_exact(game, 0.25, 0.75))
     assert verify_theorem2(16, 0.25, 0.75, num_games=1, seed=0) < 1e-8
     wide = synthetic_game(SyntheticGame.additive([1.0] * 17))
     with pytest.raises(GuardError):
-        delta_u(wide, 0.25, 0.75, pair_samples=1, seed=0, exact=True)
+        _exact(wide, 0.25, 0.75)
     with pytest.raises(GuardError):
         verify_theorem2(17, 0.25, 0.75, num_games=1, seed=0)
 
@@ -309,34 +314,20 @@ def test_loss_encourage_nonnegative():
     assert band_value_and_grad(spec, model, X, y, 9, base)[0] >= 0.0
 
 
-def _fd_check(model, loss_fn, grads, stride=5, eps=1e-4, tol=1e-4):
-    theta = get_flat_params(model)
-    flat = flatten_grads(grads)
-    for idx in range(0, theta.size, stride):
-        vec = theta.copy()
-        vec[idx] += eps
-        set_flat_params(model, vec)
-        up = loss_fn()
-        vec[idx] -= 2 * eps
-        set_flat_params(model, vec)
-        dn = loss_fn()
-        set_flat_params(model, theta)
-        fd = (up - dn) / (2 * eps)
-        assert flat[idx] == pytest.approx(fd, rel=tol, abs=1e-8)
-
-
 def test_encourage_gradient_matches_fd():
     model, X, y, base = _fixture(seed=31)
     spec = ModulationSpec("encourage", 0.3, 0.7, 1.0, 2)
     _, grads = band_value_and_grad(spec, model, X, y, 7, base)
-    _fd_check(model, lambda: band_value_and_grad(spec, model, X, y, 7, base)[0], grads)
+    fd_check(model, lambda: band_value_and_grad(spec, model, X, y, 7, base)[0], grads,
+             stride=5, eps=1e-4, rel=1e-4, abs=1e-8)
 
 
 def test_suppress_gradient_matches_fd():
     model, X, y, base = _fixture(seed=32)
     spec = ModulationSpec("suppress", 0.7, 1.0, 1.0, 2)
     _, grads = band_value_and_grad(spec, model, X, y, 8, base)
-    _fd_check(model, lambda: band_value_and_grad(spec, model, X, y, 8, base)[0], grads)
+    fd_check(model, lambda: band_value_and_grad(spec, model, X, y, 8, base)[0], grads,
+             stride=5, eps=1e-4, rel=1e-4, abs=1e-8)
 
 
 def test_suppress_gradient_matches_fd_zero_lower_band():
@@ -344,7 +335,8 @@ def test_suppress_gradient_matches_fd_zero_lower_band():
     model, X, y, base = _fixture(seed=33)
     spec = ModulationSpec("suppress", 0.0, 0.5, 1.0, 2)
     _, grads = band_value_and_grad(spec, model, X, y, 9, base)
-    _fd_check(model, lambda: band_value_and_grad(spec, model, X, y, 9, base)[0], grads)
+    fd_check(model, lambda: band_value_and_grad(spec, model, X, y, 9, base)[0], grads,
+             stride=5, eps=1e-4, rel=1e-4, abs=1e-8)
 
 
 def test_combined_loss_degenerate_and_linear():
@@ -364,8 +356,8 @@ def test_combined_gradient_matches_fd():
     terms = (ModulationSpec(kind="encourage", r1=0.3, r2=0.7, lam=0.5, pair_samples=2),
              ModulationSpec(kind="suppress", r1=0.7, r2=1.0, lam=0.25, pair_samples=2))
     _, grads = combined_value_and_grad(model, X, y, terms, 13, base)
-    _fd_check(model, lambda: combined_value_and_grad(model, X, y, terms, 13, base)[0], grads,
-              stride=7)
+    fd_check(model, lambda: combined_value_and_grad(model, X, y, terms, 13, base)[0], grads,
+             stride=7, eps=1e-4, rel=1e-4, abs=1e-8)
 
 
 _ENCOURAGE = ModulationSpec("encourage", 0.3, 0.7, 0.5, pair_samples=3)
@@ -406,3 +398,13 @@ def test_verify_theorem2_small_bands():
         verify_theorem2(6, 0.0, 0.5, num_games=2, seed=0)
     with pytest.raises(DomainError):
         verify_theorem2(6, 1 / 3, 5 / 6, num_games=0, seed=0)
+
+
+def test_theorem2_weight_guards():
+    # the weight is undefined where s1 rounds to 0, also for r1 > 0: there
+    # the independent effects would not cancel, so verification refuses
+    for n, r1, r2 in [(4, 0.1, 0.9), (6, 0.05, 0.5), (10, 0.0, 0.5)]:
+        assert band_sizes(n, r1, r2)[0] == 0
+        for seed in range(3):
+            with pytest.raises(DomainError):
+                verify_theorem2(n, r1, r2, num_games=2, seed=seed)

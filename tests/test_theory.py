@@ -10,18 +10,18 @@ from interaction_lab import (
     GuardError,
     OrderProfile,
     ValidationError,
-    argmin_order,
     contextual_variability,
     fit_effective_n,
     learning_strength_hat,
     mean_norm_gaussian,
     predicted_update_norm,
-    read_theory_csv,
     simulate_curve,
     simulate_learning_strength,
     theory_curve,
     write_theory_csv,
 )
+from interaction_lab.textio import read_csv
+from interaction_lab.theory import THEORY_HEADER
 
 
 def test_contextual_variability_matches_comb():
@@ -57,17 +57,9 @@ def test_curve_is_u_shaped_for_moderate_n():
     # past the continuous 2(n-2)/3 bound but still well clear of both ends
     for n in range(8, 33):
         curve = theory_curve(n)
-        m_star = argmin_order(curve.orders, curve.f_hat)
+        m_star = curve.orders[int(np.argmin(curve.f_hat))]
         assert round((n - 2) / 3) <= m_star <= round(2 * (n - 2) / 3)
         assert 1 < m_star < n - 3
-
-
-def test_argmin_order_ties_and_guards():
-    assert argmin_order((0, 1, 2), (3.0, 1.0, 1.0)) == 1
-    with pytest.raises(DomainError):
-        argmin_order((0, 1), (1.0,))
-    with pytest.raises(DomainError):
-        argmin_order((), ())
 
 
 def test_mean_norm_gaussian_known_dimensions():
@@ -185,9 +177,9 @@ def test_theory_csv_round_trip(tmp_path):
     curve = theory_curve(7)
     path = tmp_path / "curve.csv"
     write_theory_csv(path, curve, meta={"n": "7"})
-    orders, f_hat, meta = read_theory_csv(path)
-    assert orders == curve.orders
-    assert f_hat == curve.f_hat
+    rows, meta = read_csv(path, THEORY_HEADER)
+    assert tuple(int(m) for m, _ in rows) == curve.orders
+    assert tuple(float(v) for _, v in rows) == curve.f_hat
     assert meta["n"] == "7"
     first = path.read_bytes()
     write_theory_csv(path, curve, meta={"n": "7"})
