@@ -33,8 +33,8 @@ from .attack import AttackConfig, adversarial_accuracy
 from .datasets import resolve_dataset
 from .errors import (NumericError, SchemaError, ValidationError, VerificationError)
 from .games import Baseline, SyntheticGame, compute_baseline, synthetic_game
-from .interactions import (LogOddsGame, efficiency_residual, order_profile,
-                           read_profile_csv, write_profile_csv)
+from .interactions import (MAX_TABLE_PLAYERS, LogOddsGame, efficiency_residual,
+                           order_profile, read_profile_csv, write_profile_csv)
 from .mlp import MLP, accuracy, load_model, save_model
 from .modulation import ModulationSpec, verify_theorem2
 from .rng import child_seed
@@ -224,7 +224,7 @@ def _cmd_analyze(args) -> int:
     game = LogOddsGame(model, baseline)
     profile = order_profile(game, samples, grid, pair_budget=pair_budget,
                             subset_budget=args.samples, seed=args.seed)
-    # the budgets the profile used: up to MAX_TABLE_PLAYERS they are the
+    # the budgets the profile used: on the value-table path they are the
     # enumeration amounts, whatever --pairs and --samples asked for
     resolved = {"command": "analyze", "model_sha256": _file_sha256(args.model),
                 "data": str(args.data),
@@ -316,6 +316,9 @@ def _cmd_train(args) -> int:
     resolved["data"] = str(args.data)
     dataset = resolve_dataset(args.data, label_column)
     model, log = train(config, dataset)
+    if config.snapshot_every > 0 and dataset.num_features > MAX_TABLE_PLAYERS:
+        print(f"warning: snapshots need n <= {MAX_TABLE_PLAYERS}, got n="
+              f"{dataset.num_features}; none were taken", file=sys.stderr)
     digest = _config_hash(resolved)
     stamp = {"config_sha256": digest, "seed": config.seed}
 
@@ -376,11 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orders", default="auto",
                    help="'auto' or comma-separated context sizes")
     p.add_argument("--pairs", type=int, default=0,
-                   help="pairs sampled per order above 16 features; 0 means every "
-                        "pair; up to 16 features every pair is enumerated")
+                   help="pairs sampled per order; 0 means every pair. Up to 20 features, "
+                        "when the budgets would evaluate at least 2^n masks, the profile "
+                        "reads value tables and enumerates every pair and context")
     p.add_argument("--samples", type=int, default=128,
-                   help="contexts sampled per pair and order above 16 features; "
-                        "up to 16 features every context is enumerated")
+                   help="contexts sampled per pair and order, capped at the context "
+                        "count; see --pairs for when every context is enumerated")
     p.add_argument("--rows", type=int, default=16,
                    help="dataset rows profiled; 0 means every row")
     p.add_argument("--seed", type=_seed, default=0)

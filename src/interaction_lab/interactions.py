@@ -33,8 +33,7 @@ from .games import (Baseline, ValueFunction, check_player_count, masked_matrix,
 from .rng import child_seed, make_rng
 from .textio import format_float, read_csv, write_csv
 
-MAX_EXACT_PLAYERS = 20
-MAX_TABLE_PLAYERS = 16
+MAX_TABLE_PLAYERS = 20  # bounds every exact path: value tables and pair enumeration
 EVAL_CHUNK = 256  # masks per evaluate_many call of evaluate: value tables, sampled profiles
 # masks per evaluate call of a sampled profile, unless one pair needs more
 _GROUP_MASKS = 65536
@@ -121,17 +120,21 @@ def evaluate(game: ValueFunction, bits, x=None) -> np.ndarray:
     return out
 
 
+def _check_table_size(n: int) -> None:
+    if n > MAX_TABLE_PLAYERS:
+        raise GuardError(f"exact work is limited to n <= {MAX_TABLE_PLAYERS}, got n={n}")
+
+
 def value_table(game: ValueFunction, x=None) -> np.ndarray:
     """v(S | x) for every mask S, indexed by the mask; needs n <= MAX_TABLE_PLAYERS.
 
     The masks go through evaluate in ascending order. The GuardError raised
-    here is the one size guard of every quantity read from a table: exact
-    profiles, efficiency_residual and verify_theorem2.
+    here is the size guard of every exact quantity: table-backed profiles,
+    efficiency_residual, verify_theorem2 and interaction_order_exact, whose
+    4 C(n - 2, m) coalitions never outnumber the table's 2^n.
     """
-    n = game.n
-    if n > MAX_TABLE_PLAYERS:
-        raise GuardError(f"value tables are limited to n <= {MAX_TABLE_PLAYERS}, got n={n}")
-    return evaluate(game, np.arange(1 << n, dtype=np.uint64), x)
+    _check_table_size(game.n)
+    return evaluate(game, np.arange(1 << game.n, dtype=np.uint64), x)
 
 
 def _check_pair(n: int, i: int, j: int) -> tuple[int, int]:
@@ -178,24 +181,23 @@ def size_means(values: np.ndarray, k: int) -> np.ndarray:
     return np.bincount(order, weights=values, minlength=k + 1) / counts
 
 
-def pair_order_means(table: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
-    """Exact I_m(i, j) for every order m = 0..n-2, read from a value table.
+def pair_order_table(table: np.ndarray, n: int) -> np.ndarray:
+    """Exact I_m(i, j) for m = 0..n-2, one row per pair i < j in combinations order.
 
-    The table is viewed as a 2 x ... x 2 cube (axis a holds player n - 1 - a).
-    Fixing the pair's two axes leaves its contexts in ascending mask order,
-    so one popcount bincount gives every order's mean.
+    The table is copied once per player i into the halves without and with
+    i, each in ascending mask order. For every j > i the four corners are
+    then views of those halves in contiguous runs of 2^(j-1) values, and
+    their contexts stay in ascending mask order, so one popcount bincount of
+    the pair's delta_v gives every order's mean.
     """
-    lo, hi = _check_pair(n, i, j)
-    cube = table.reshape((2,) * n)
-
-    def corner(with_lo: int, with_hi: int) -> np.ndarray:
-        index = [slice(None)] * n
-        index[n - 1 - lo] = with_lo
-        index[n - 1 - hi] = with_hi
-        return cube[tuple(index)].ravel()
-
-    deltas = (corner(1, 1) + corner(0, 0)) - (corner(1, 0) + corner(0, 1))
-    return size_means(deltas, n - 2)
+    rows = []
+    for lo in range(n - 1):
+        halves = table.reshape(-1, 2, 1 << lo).transpose(1, 0, 2).copy()
+        for hi in range(lo + 1, n):
+            v = halves.reshape(2, 1 << (n - 1 - hi), 2, 1 << (hi - 1))
+            deltas = (v[1, :, 1] + v[0, :, 0]) - (v[1, :, 0] + v[0, :, 1])
+            rows.append(size_means(deltas.ravel(), n - 2))
+    return np.array(rows)
 
 
 def enumerated_contexts(n: int, i: int, j: int, m: int) -> np.ndarray:
@@ -208,17 +210,14 @@ def enumerated_contexts(n: int, i: int, j: int, m: int) -> np.ndarray:
 
 def interaction_order_exact(game: ValueFunction, i: int, j: int, m: int,
                             x=None) -> InteractionEstimate:
-    """Average delta_v over every size-m context; needs n <= MAX_EXACT_PLAYERS.
+    """Average delta_v over every size-m context; needs n <= MAX_TABLE_PLAYERS.
 
     The 4 C(n-2, m) coalitions are evaluated in one batch.
     """
     n = game.n
     lo, hi = _check_pair(n, i, j)
     _check_order(n, m)
-    if n > MAX_EXACT_PLAYERS:
-        raise GuardError(
-            f"exact enumeration is limited to n <= {MAX_EXACT_PLAYERS}, got n={n}; "
-            "use the Monte Carlo path")
+    _check_table_size(n)
     base_bits = enumerated_contexts(n, lo, hi, m)
     deltas = _deltas(evaluate_batch(game, _corners(base_bits, lo, hi), x))[0]
     return InteractionEstimate(value=float(deltas.mean()), std_error=0.0,
@@ -237,19 +236,19 @@ def interaction_order_mc(game: ValueFunction, i: int, j: int, m: int,
 
     Contexts are drawn uniformly with replacement from the size-m subsets of
     the remaining players, and their coalitions are evaluated in one batch.
-    When the budget equals the context count exactly (and n permits
-    enumeration) the estimator enumerates instead, reported with exact=True
-    and zero standard error; any other budget keeps drawing with replacement
-    so std_error stays an honest dispersion measure even past the context
-    count. std_error is the sample standard deviation (ddof=1) over
-    sqrt(num_samples); a single draw cannot estimate it and reports 0.
+    When the budget equals the context count and n <= MAX_TABLE_PLAYERS, the
+    estimator enumerates instead, reported with exact=True and zero standard
+    error; any other budget keeps drawing with replacement so std_error stays
+    an honest dispersion measure even past the context count. std_error is
+    the sample standard deviation (ddof=1) over sqrt(num_samples); a single
+    draw cannot estimate it and reports 0.
     """
     n = game.n
     lo, hi = _check_pair(n, i, j)
     _check_order(n, m)
     if num_samples < 1:
         raise DomainError(f"num_samples must be positive, got {num_samples}")
-    if n <= MAX_EXACT_PLAYERS and num_samples == comb(n - 2, m):
+    if n <= MAX_TABLE_PLAYERS and num_samples == comb(n - 2, m):
         return interaction_order_exact(game, i, j, m, x=x)
     contexts = _contexts(n, lo, hi, m, num_samples, seed)
     deltas = _deltas(evaluate_batch(game, _corners(contexts, lo, hi), x))[0]
@@ -260,9 +259,7 @@ def interaction_order_mc(game: ValueFunction, i: int, j: int, m: int,
 
 def _capped_budget(n: int, m: int, budget: int) -> int:
     # cap only where enumeration is allowed to take over
-    if n <= MAX_EXACT_PLAYERS:
-        return min(budget, comb(n - 2, m))
-    return budget
+    return min(budget, comb(n - 2, m)) if n <= MAX_TABLE_PLAYERS else budget
 
 
 def _pair_means(game: ValueFunction, x, m: int, pairs: list[tuple[int, int]], budget: int,
@@ -274,7 +271,7 @@ def _pair_means(game: ValueFunction, x, m: int, pairs: list[tuple[int, int]], bu
     in _GROUP_MASKS masks, and at least one.
     """
     n = game.n
-    enumerate_all = n <= MAX_EXACT_PLAYERS and budget == comb(n - 2, m)
+    enumerate_all = n <= MAX_TABLE_PLAYERS and budget == comb(n - 2, m)
     group = max(1, _GROUP_MASKS // (4 * budget))
     means = []
     for start in range(0, len(pairs), group):
@@ -316,17 +313,19 @@ def order_profile(game: ValueFunction, samples: Sequence,
 
     samples is a non-empty sequence of opaque per-sample inputs handed to the
     game's evaluate_many (closed-form games take [None]; model-backed games take
-    (features, target) pairs). For n <= MAX_TABLE_PLAYERS each sample's value
-    table is built once and every pair's exact per-order means are read from
-    it; both budgets are then ignored, and the profile records the budgets
-    that enumeration amounts to: every pair, and the largest context count
-    C(n - 2, (n - 2) // 2). Beyond that, each sample runs under its own derived
-    seed: pairs are sampled without replacement when pair_budget is below the
-    full pair count, the subset budget is capped at the context count (so
-    covered orders are enumerated exactly), and each order's pairs, in fixed
-    pair order, go through evaluate together; each pair's mean is the value
-    interaction_order_mc returns for it. The normalization denominator is the
-    mean over the declared grid only.
+    (features, target) pairs). The sampled path would evaluate, per sample,
+    4 * min(pair_budget, n (n - 1) / 2) * min(subset_budget, C(n - 2, m))
+    masks summed over the grid. Where that is at least the 2^n masks of a
+    value table and n <= MAX_TABLE_PLAYERS, each sample's table is built once
+    and every pair's exact per-order means are read from it; the profile then
+    records the budgets that enumeration amounts to: every pair, and the
+    largest context count C(n - 2, (n - 2) // 2). Otherwise each sample runs
+    under its own derived seed: pairs are sampled without replacement when
+    pair_budget is below the full pair count, the subset budget is capped at
+    the context count (so covered orders are enumerated exactly), and each
+    order's pairs, in fixed pair order, go through evaluate together; each
+    pair's mean is the value interaction_order_mc returns for it. The
+    normalization denominator is the mean over the declared grid only.
     """
     n = game.n
     if len(samples) == 0:
@@ -344,14 +343,15 @@ def order_profile(game: ValueFunction, samples: Sequence,
     if subset_budget < 1:
         raise DomainError(f"subset_budget must be positive, got {subset_budget}")
 
+    all_pairs = n * (n - 1) // 2
+    sampled_masks = sum(4 * min(pair_budget, all_pairs) * _capped_budget(n, m, subset_budget)
+                        for m in grid)
     per_sample = np.empty((len(samples), len(grid)))
-    if n <= MAX_TABLE_PLAYERS:
-        pairs = list(itertools.combinations(range(n), 2))
-        pair_budget, subset_budget = len(pairs), comb(n - 2, (n - 2) // 2)
+    if n <= MAX_TABLE_PLAYERS and (1 << n) <= sampled_masks:
+        pair_budget, subset_budget = all_pairs, comb(n - 2, (n - 2) // 2)
         for t, sample in enumerate(samples):
-            table = value_table(game, sample)
             # one row of |I_m| per order, in pair order
-            magnitudes = np.abs([pair_order_means(table, n, i, j) for i, j in pairs]).T
+            magnitudes = np.abs(pair_order_table(value_table(game, sample), n)).T
             per_sample[t] = [np.mean(magnitudes[m]) for m in grid]
     else:
         for t, sample in enumerate(samples):
@@ -410,9 +410,9 @@ def efficiency_residual(game: ValueFunction, x=None) -> EfficiencyReport:
 
     weights = order_weights(n, {n: 1.0, 0: -1.0})
     per_order = np.zeros(n - 1)
-    for lo, hi in itertools.combinations(range(n), 2):
+    for row in pair_order_table(table, n):
         # ordered pairs: (i, j) and (j, i) contribute the same interaction
-        per_order += 2.0 * weights * pair_order_means(table, n, lo, hi)
+        per_order += 2.0 * weights * row
 
     reconstruction = v_empty + independent + float(per_order.sum())
     residual = abs(lhs - reconstruction)

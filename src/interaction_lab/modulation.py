@@ -14,10 +14,12 @@ generator per (step, term), pair_samples consecutive pairs per row.
 
 Both marginals being uniform, Du = mu_{s2} - (s2/s1) mu_{s1}, where mu_s is the
 mean of v over size s. Expanding it in per-order interactions gives the
-interactions.order_weights of that sum, which vanish above order s2 - 2, so
-the signal only listens to orders inside the band; verify_theorem2 checks
-that expansion against exact per-order interactions read from a full value
-table.
+interactions.order_weights of that sum. For s1 >= 1 they are positive on
+every order 0..s2 - 2, rise to a peak at s1 - 1 and vanish above s2 - 2, so
+the signal also listens below the band: the mid recipe on 12 features
+(sizes 4 and 8) weighs orders 0..6 and peaks at order 3. verify_theorem2
+checks that expansion against exact per-order interactions read from a full
+value table.
 
 Two training losses act through the per-class version of the signal: the
 encouraging loss classifies with softmax(Du_c) (forcing the banded
@@ -42,7 +44,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError, ValidationError
 from .games import _PLAYER_BITS, Baseline, masked_matrix
-from .interactions import order_weights, pair_order_means, size_means, value_table
+from .interactions import order_weights, pair_order_table, size_means, value_table
 from .mlp import (MLP, ParamGrads, _checked_cross_entropy, ce_value_and_grad, cross_entropy,
                   cross_entropy_grad, log_softmax)
 from .rng import child_seed, make_rng
@@ -252,7 +254,7 @@ def verify_theorem2(n: int, r1: float, r2: float, num_games: int, seed: int) -> 
     unordered pairs halves the interaction mass and leaves O(1) residuals.
     Each game's value table (so n <= MAX_TABLE_PLAYERS) is evaluated once and
     read by both sides: the exact signal from its size means, the
-    interactions from pair_order_means. A band whose s1 rounds to 0 is
+    interactions from pair_order_table. A band whose s1 rounds to 0 is
     refused: the ratio is undefined there, and the signal's convention keeps
     an independent-effects term the reconstruction does not have.
     """
@@ -274,8 +276,7 @@ def verify_theorem2(n: int, r1: float, r2: float, num_games: int, seed: int) -> 
         table = value_table(synthetic_game(spec))
         measured = _exact_delta_u(table, n, s1, s2)
         # ordered pairs: (i, j) and (j, i) carry the same interaction
-        pair_sums = 2.0 * sum(pair_order_means(table, n, i, j)
-                              for i in range(n) for j in range(i + 1, n))
+        pair_sums = 2.0 * sum(pair_order_table(table, n))
         recon = (1.0 - ratio) * float(table[0]) + float(weights @ pair_sums)
         worst = max(worst, abs(measured - recon))
     return worst

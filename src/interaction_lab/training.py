@@ -29,7 +29,7 @@ from .games import Baseline
 from .interactions import (MAX_TABLE_PLAYERS, LogOddsGame, OrderProfile, order_profile,
                            write_profile_csv)
 from .mlp import MLP, accuracy, cross_entropy
-from .modulation import ModulationSpec, combined_value_and_grad
+from .modulation import ModulationSpec, band_sizes, combined_value_and_grad
 from .rng import child_seed, make_rng
 from .textio import format_float, write_csv
 
@@ -119,18 +119,6 @@ class TrainLog:
     snapshots: dict[int, OrderProfile] = field(default_factory=dict)
 
 
-def _probe_profile(model: MLP, probe_X: np.ndarray, probe_y: np.ndarray,
-                   baseline: Baseline, seed: int) -> OrderProfile:
-    n = probe_X.shape[1]
-    game = LogOddsGame(model, baseline)
-    samples = [(probe_X[t], int(probe_y[t])) for t in range(len(probe_X))]
-    # n <= MAX_TABLE_PLAYERS, so the profile is exact and records these full budgets
-    return order_profile(game, samples,
-                         pair_budget=n * (n - 1) // 2,
-                         subset_budget=comb(n - 2, (n - 2) // 2),
-                         seed=seed)
-
-
 def _epoch_metrics(model: MLP, X: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     logits = model.forward(X)
     return cross_entropy(logits, y), accuracy(logits, y)
@@ -147,13 +135,18 @@ def train(config: TrainConfig, dataset: TabularDataset) -> tuple[MLP, TrainLog]:
         raise DomainError("training needs at least two classes")
     if dataset.num_features < 2:
         raise DomainError("training needs at least two features")
+    n = dataset.num_features
+    for term in config.terms:
+        if term.r1 > 0 and band_sizes(n, term.r1, term.r2)[0] == 0:
+            raise ValidationError(
+                f"term band [{term.r1}, {term.r2}] rounds to s1=0 at n={n}, where s2/s1 "
+                "is undefined; r1=0 selects the E[v(S2)] - v(empty) convention")
     train_raw, val_raw = split_dataset(dataset, config.val_fraction,
                                        child_seed(config.seed, _SPLIT_STREAM))
     train_ds, mean, std = standardize(train_raw)
     val_ds = apply_standardization(val_raw, mean, std)
     X_train, y_train = train_ds.features, train_ds.labels
     X_val, y_val = val_ds.features, val_ds.labels
-    n = dataset.num_features
     baseline = Baseline.zeros(n)
 
     sizes = [n, *config.hidden_sizes, dataset.num_classes]
@@ -168,8 +161,8 @@ def train(config: TrainConfig, dataset: TabularDataset) -> tuple[MLP, TrainLog]:
     }
 
     snap_orders = config.snapshot_every > 0 and n <= MAX_TABLE_PLAYERS
-    probe_X = X_val[:PROBE_ROWS]
-    probe_y = y_val[:PROBE_ROWS]
+    game = LogOddsGame(model, baseline)
+    probe = [(X_val[t], int(y_val[t])) for t in range(min(PROBE_ROWS, len(X_val)))]
 
     stats = []
     snapshots: dict[int, OrderProfile] = {}
@@ -196,9 +189,11 @@ def train(config: TrainConfig, dataset: TabularDataset) -> tuple[MLP, TrainLog]:
                                f"loss train={train_loss} val={val_loss}")
         stats.append(EpochStats(epoch, train_loss, train_acc, val_loss, val_acc))
         if snap_orders and (epoch % config.snapshot_every == 0 or epoch == config.epochs):
-            snapshots[epoch] = _probe_profile(
-                model, probe_X, probe_y, baseline,
-                child_seed(config.seed, _PROFILE_STREAM, epoch))
+            # full budgets sample at least 2^n masks, so the profile is exact
+            snapshots[epoch] = order_profile(
+                game, probe, pair_budget=n * (n - 1) // 2,
+                subset_budget=comb(n - 2, (n - 2) // 2),
+                seed=child_seed(config.seed, _PROFILE_STREAM, epoch))
     return model, TrainLog(tuple(stats), snapshots)
 
 

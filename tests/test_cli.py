@@ -255,14 +255,16 @@ def _stamp(path):
 
 
 def test_analyze_stamps_the_budgets_it_used(tmp_path, capsys):
-    # up to 16 features the profile enumerates, so --samples changes nothing
+    # default budgets at 12 features would sample more masks than the 2^12 of a
+    # value table, so the profile enumerates and --samples changes nothing
     model = _wide_model(tmp_path, 12)
     default, full = tmp_path / "default.csv", tmp_path / "full.csv"
     assert main(["analyze", *model, "--rows", "2", "--out", str(default)]) == 0
     assert main(["analyze", *model, "--rows", "2", "--samples", "252",
                  "--out", str(full)]) == 0
     assert default.read_bytes() == full.read_bytes()
-    # above the table guard the budget is used, and the stamp tells them apart
+    # 2 pairs and 4 contexts sample fewer masks than a table, so the budget is
+    # used, and the stamp tells them apart
     wide = _wide_model(tmp_path, 17)
     stamps = []
     for samples in ("4", "5"):
@@ -271,6 +273,29 @@ def test_analyze_stamps_the_budgets_it_used(tmp_path, capsys):
                      "--samples", samples, "--out", str(out)]) == 0
         stamps.append(_stamp(out))
     assert stamps[0] != stamps[1]
+
+
+def test_train_rejects_a_band_whose_s1_rounds_to_zero(workdir, tmp_path, capsys):
+    argv = _train({"terms": [{"kind": "suppress", "r1": 0.05, "r2": 0.5, "lambda": 1}]})
+    code = main(argv(workdir, tmp_path))
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: validation: ")
+    assert "n=6" in lines[0]
+    assert not (tmp_path / "run" / "model.json").exists()
+
+
+def test_train_warns_when_snapshots_exceed_the_table_limit(tmp_path, capsys):
+    data = tmp_path / "wide21.csv"
+    write_dataset_csv(data, make_pairwise_task(40, 21, 3, seed=1))
+    argv = _train({"snapshot_every": 1})(tmp_path, tmp_path)
+    argv[argv.index("--data") + 1] = str(data)
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "warning: snapshots need n <= 20, got n=21; none were taken"]
+    assert "and 0 snapshot(s);" in captured.out
+    assert not list((tmp_path / "run").glob("profile_epoch_*.csv"))
 
 
 def test_analyze_rejects_65_players(tmp_path, capsys):

@@ -1,7 +1,11 @@
+import itertools
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from interaction_lab import (
     MLP,
@@ -110,11 +114,11 @@ def test_efficiency_identity_random_games(n, seed):
 
 
 def test_efficiency_guard():
-    # the value table's guard: 16 players run, 17 do not
+    # the value table's guard: 16 players run, 21 do not
     game = synthetic_game(SyntheticGame.random_polynomial(16, 16, 37, seed=1))
     assert efficiency_residual(game).relative_residual < 1e-12
     with pytest.raises(GuardError):
-        efficiency_residual(synthetic_game(SyntheticGame.additive([1.0] * 17)))
+        efficiency_residual(synthetic_game(SyntheticGame.additive([1.0] * 21)))
 
 
 def test_single_order_profile_additive_is_zero():
@@ -145,14 +149,19 @@ def test_order_profile_rejects_empty_budgets(poly_game):
             order_profile(poly_game, [None], **budgets, seed=0)
 
 
-def test_table_profile_ignores_budgets_and_reports_full_ones(poly_game):
+def test_profile_reads_tables_where_they_cost_fewer_masks(poly_game):
     full = order_profile(poly_game, [None], pair_budget=28, subset_budget=20, seed=0)
+    # 4 * 10 pairs * (1 + 6 + 8 * 3 + 6 + 1) contexts = 1520 masks >= 2^8: the table path
+    table = order_profile(poly_game, [None], pair_budget=10, subset_budget=8, seed=9)
+    assert table.strengths == full.strengths
+    assert (table.pair_budget, table.subset_budget) == (28, comb(6, 3))
+    # 4 * 3 pairs * (1 + 2 * 5 + 1) contexts = 144 masks < 2^8: the sampled path
     tiny = order_profile(poly_game, [None], pair_budget=3, subset_budget=2, seed=9)
-    assert tiny.strengths == full.strengths
-    assert (tiny.pair_budget, tiny.subset_budget) == (28, comb(6, 3))
+    assert (tiny.pair_budget, tiny.subset_budget) == (3, 2)
 
 
 def test_profile_budgets_matter_above_the_table_guard():
+    # at n = 17 both budgets sample far fewer masks than a 2^17 value table
     game = synthetic_game(SyntheticGame.random_polynomial(17, degree=6, num_terms=40, seed=2))
     tiny = order_profile(game, [None], [3, 8], pair_budget=3, subset_budget=2, seed=0)
     larger = order_profile(game, [None], [3, 8], pair_budget=12, subset_budget=16, seed=0)
@@ -275,3 +284,75 @@ def test_profile_csv_round_trip(tmp_path, poly_game):
     path2 = tmp_path / "profile2.csv"
     write_profile_csv(path2, back, {"config_sha256": "aa", "seed": 2})
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("n, kind", [(17, "polynomial"), (17, "mlp"), (20, "polynomial")])
+def test_pair_order_table_matches_enumeration(n, kind):
+    if kind == "polynomial":
+        game = synthetic_game(SyntheticGame.random_polynomial(n, degree=7, num_terms=60, seed=n))
+        sample = None
+    else:
+        game = LogOddsGame(MLP([n, 24, 24, 3], seed=n), Baseline.zeros(n))
+        sample = (np.random.default_rng(n).normal(size=n), 1)
+    table = interactions.pair_order_table(interactions.value_table(game, sample), n)
+    pairs = list(itertools.combinations(range(n), 2))
+    assert table.shape == (len(pairs), n - 1)
+    for i, j in [(0, 1), (3, n // 2 + 1), (n - 2, n - 1)]:
+        row = table[pairs.index((i, j))]
+        expected = [interaction_order_exact(game, i, j, m, x=sample).value for m in range(n - 1)]
+        assert np.max(np.abs(row)) > 0
+        assert np.max(np.abs(row - expected)) <= 1e-12 * np.max(np.abs(row))
+
+
+@st.composite
+def _profile_requests(draw):
+    n = draw(st.integers(2, 10))
+    grid = sorted(draw(st.sets(st.integers(0, n - 2), min_size=1)))
+    pair_budget = draw(st.integers(1, n * (n - 1) // 2 + 2))
+    subset_budget = draw(st.integers(1, comb(n - 2, (n - 2) // 2) + 2))
+    return n, grid, pair_budget, subset_budget
+
+
+@settings(max_examples=60, deadline=None)
+@given(_profile_requests())
+# 4 * 4 pairs * 1 context = 2^4 masks: a tie reads the table
+@example((4, [0], 4, 1))
+@example((4, [0], 3, 1))
+def test_profile_path_follows_the_mask_count_rule(request):
+    n, grid, pair_budget, subset_budget = request
+    game = synthetic_game(SyntheticGame.random_polynomial(n, n, min(2 * n + 5, 1 << n), seed=n))
+    all_pairs, widest = n * (n - 1) // 2, comb(n - 2, (n - 2) // 2)
+    sampled_masks = sum(4 * min(pair_budget, all_pairs) * min(subset_budget, comb(n - 2, m))
+                        for m in grid)
+    with mock.patch.object(interactions, "evaluate", wraps=interactions.evaluate) as spy:
+        profile = order_profile(game, [None], grid, pair_budget=pair_budget,
+                                subset_budget=subset_budget, seed=3)
+    # whichever path runs, it is the one that evaluates fewer masks
+    assert sum(len(call.args[1]) for call in spy.call_args_list) == min(1 << n, sampled_masks)
+    if 1 << n <= sampled_masks:
+        full = order_profile(game, [None], pair_budget=all_pairs, subset_budget=widest, seed=0)
+        assert list(profile.strengths) == [full.strengths[m] for m in grid]
+        assert (profile.pair_budget, profile.subset_budget) == (all_pairs, widest)
+    else:
+        assert (profile.pair_budget, profile.subset_budget) == (pair_budget, subset_budget)
+
+
+def _cube_pair_means(table, n, lo, hi):
+    """One pair's exact I_m through the table viewed as a 2 x ... x 2 cube."""
+    cube = table.reshape((2,) * n)
+
+    def corner(with_lo, with_hi):
+        index = [slice(None)] * n
+        index[n - 1 - lo], index[n - 1 - hi] = with_lo, with_hi
+        return cube[tuple(index)].ravel()
+
+    deltas = (corner(1, 1) + corner(0, 0)) - (corner(1, 0) + corner(0, 1))
+    return interactions.size_means(deltas, n - 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 12])
+def test_pair_order_table_equals_the_cube_reduction_bit_for_bit(n):
+    table = np.random.default_rng(n).normal(size=1 << n)
+    expected = [_cube_pair_means(table, n, lo, hi)
+                for lo, hi in itertools.combinations(range(n), 2)]
+    assert interactions.pair_order_table(table, n).tolist() == np.array(expected).tolist()

@@ -174,11 +174,11 @@ def test_table_backed_checks_share_the_value_table_guard():
     game = synthetic_game(SyntheticGame.random_polynomial(16, 16, 37, seed=1))
     assert np.isfinite(_exact(game, 0.25, 0.75))
     assert verify_theorem2(16, 0.25, 0.75, num_games=1, seed=0) < 1e-8
-    wide = synthetic_game(SyntheticGame.additive([1.0] * 17))
+    wide = synthetic_game(SyntheticGame.additive([1.0] * 21))
     with pytest.raises(GuardError):
         _exact(wide, 0.25, 0.75)
     with pytest.raises(GuardError):
-        verify_theorem2(17, 0.25, 0.75, num_games=1, seed=0)
+        verify_theorem2(21, 0.25, 0.75, num_games=1, seed=0)
 
 
 @st.composite

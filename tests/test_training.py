@@ -132,6 +132,27 @@ def test_snapshots_cover_requested_epochs():
     assert log_off.snapshots == {}
 
 
+def test_snapshots_are_exact_up_to_the_table_limit():
+    cfg = TrainConfig(epochs=1, batch_size=32, learning_rate=0.1, seed=4,
+                      hidden_sizes=(8,), snapshot_every=1)
+    _, log = train(cfg, make_pairwise_task(48, 17, 4, seed=2))
+    profile = log.snapshots[1]
+    assert profile.order_grid == tuple(range(16))
+    assert (profile.pair_budget, profile.subset_budget) == (136, 6435)
+
+
+def test_train_rejects_a_band_whose_s1_rounds_to_zero():
+    # band_sizes(6, 0.05, 0.5) is (0, 3): only r1 = 0 may take the s1 = 0 convention
+    cfg = TrainConfig(epochs=1, batch_size=32, learning_rate=0.1, seed=0, hidden_sizes=(8,),
+                      terms=(ModulationSpec("suppress", 0.05, 0.5, 1.0),))
+    with pytest.raises(ValidationError, match=r"\[0\.05, 0\.5\].*n=6"):
+        train(cfg, _small_task())
+    high = TrainConfig(epochs=1, batch_size=32, learning_rate=0.1, seed=0, hidden_sizes=(8,),
+                       terms=VARIANT_TERMS["high"])
+    _, log = train(high, _small_task())
+    assert len(log.epochs) == 1
+
+
 def test_final_epoch_always_snapshotted():
     cfg = TrainConfig(epochs=5, batch_size=32, learning_rate=0.1, seed=4,
                       hidden_sizes=(8,), snapshot_every=3)
