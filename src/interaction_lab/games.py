@@ -90,20 +90,23 @@ def _members(pool: int) -> np.ndarray:
     return _PLAYER_BITS[(np.uint64(pool) & _PLAYER_BITS) != 0]
 
 
-def sample_subsets(pool: int, m: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count uniform size-m sub-masks of the pool mask as one uint64 array.
+def sample_subsets(pool: int, sizes: tuple[int, ...], count: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """count nested uniform sub-masks of the pool mask, one row per size, as uint64.
 
-    Each draw permutes the pool's players in ascending order and keeps the
-    first m. rng.permuted shuffles row by row with the same draws as one
-    rng.permutation per row, so draw k and the generator's end state equal
-    those of count calls of rng.permutation(members)[:m].sum(). An identical
-    stream gives identical subsets.
+    Draw k permutes the pool's players in ascending order and row r keeps the
+    first sizes[r], so with sizes (s1, s2) each S1 is uniform inside its S2.
+    All draws come from one rng.permuted call, which shuffles row by row with
+    the same draws as one rng.permutation per row: draw k and the generator's
+    end state equal those of count calls of rng.permutation(members). An
+    identical stream gives identical subsets.
     """
     members = _members(pool)
-    if not (0 <= m <= len(members)):
-        raise DomainError(f"subset size {m} outside [0, {len(members)}]")
-    rows = np.broadcast_to(members, (count, len(members)))
-    return rng.permuted(rows, axis=1)[:, :m].sum(axis=1, dtype=np.uint64)
+    for m in sizes:
+        if not (0 <= m <= len(members)):
+            raise DomainError(f"subset size {m} outside [0, {len(members)}]")
+    order = rng.permuted(np.broadcast_to(members, (count, len(members))), axis=1)
+    return np.stack([order[:, :m].sum(axis=1, dtype=np.uint64) for m in sizes])
 
 
 class ValueFunction(ABC):

@@ -23,7 +23,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -34,8 +34,8 @@ from .rng import child_seed, make_rng
 from .textio import format_float, read_csv, write_csv
 
 MAX_TABLE_PLAYERS = 20  # bounds every exact path: value tables and pair enumeration
-EVAL_CHUNK = 256  # masks per evaluate_many call of evaluate: value tables, sampled profiles
-# masks per evaluate call of a sampled profile, unless one pair needs more
+EVAL_CHUNK = 256  # masks per evaluate_many call of evaluate, whatever asks for them
+# masks per evaluate call of _pair_deltas, unless one pair needs more
 _GROUP_MASKS = 65536
 
 # Stream ids reserved so derived streams can never collide with the per-pair
@@ -99,24 +99,22 @@ class EfficiencyReport:
     relative_residual: float
 
 
-def evaluate_batch(game: ValueFunction, bits, x=None) -> np.ndarray:
-    """game.evaluate_many(bits, x) in one call, checked to hold one value per mask."""
-    out = np.asarray(game.evaluate_many(bits, x=x), dtype=float)
-    if out.shape != (len(bits),):
-        raise DimensionError(f"evaluate_many returned shape {out.shape} for {len(bits)} masks")
-    return out
-
-
 def evaluate(game: ValueFunction, bits, x=None) -> np.ndarray:
     """v(S | x) for each mask of bits, in order, EVAL_CHUNK masks per evaluate_many call.
 
-    The chunks are consecutive slices of bits, so every value comes from the
-    same batch on every run, and each chunk's matmuls stay small whatever
-    the number of masks.
+    The library's one caller of evaluate_many. The chunks are consecutive
+    slices of bits, so every value comes from the same batch on every run,
+    and each chunk's matmuls stay small whatever the number of masks; each
+    chunk must come back as one value per mask.
     """
     out = np.empty(len(bits))
     for start in range(0, len(bits), EVAL_CHUNK):
-        out[start:start + EVAL_CHUNK] = evaluate_batch(game, bits[start:start + EVAL_CHUNK], x)
+        chunk = bits[start:start + EVAL_CHUNK]
+        values = np.asarray(game.evaluate_many(chunk, x=x), dtype=float)
+        if values.shape != (len(chunk),):
+            raise DimensionError(
+                f"evaluate_many returned shape {values.shape} for {len(chunk)} masks")
+        out[start:start + len(chunk)] = values
     return out
 
 
@@ -203,31 +201,56 @@ def pair_order_table(table: np.ndarray, n: int) -> np.ndarray:
 def enumerated_contexts(n: int, i: int, j: int, m: int) -> np.ndarray:
     """Every size-m context of the pair as uint64 masks, in itertools.combinations order."""
     lo, hi = _check_pair(n, i, j)
-    pool = [k for k in range(n) if k != lo and k != hi]
-    return np.array([sum(1 << k for k in combo) for combo in itertools.combinations(pool, m)],
-                    dtype=np.uint64)
+    bits = [1 << k for k in range(n) if k != lo and k != hi]
+    return np.fromiter(map(sum, itertools.combinations(bits, m)), dtype=np.uint64,
+                       count=comb(n - 2, m))
+
+
+def _contexts(n: int, lo: int, hi: int, m: int, num_samples: int, seed: int) -> np.ndarray:
+    """num_samples uniform size-m contexts of the pair, from the pair's own stream."""
+    pool = ((1 << n) - 1) & ~((1 << lo) | (1 << hi))
+    return sample_subsets(pool, (m,), num_samples, make_rng(seed, lo, hi, m))[0]
+
+
+def _enumerates(n: int, m: int, budget: int) -> bool:
+    """Whether a budget of size-m contexts is met by enumerating every one of them."""
+    return n <= MAX_TABLE_PLAYERS and budget == comb(n - 2, m)
+
+
+def _pair_deltas(game: ValueFunction, x, m: int, pairs: Sequence[tuple[int, int]],
+                 budget: int, seed: int) -> Iterator[np.ndarray]:
+    """Yield delta_v of the sorted pairs over budget size-m contexts each, in blocks.
+
+    A pair's contexts are all of them when _enumerates(n, m, budget), else
+    budget uniform draws from the pair's own stream. Each evaluate call takes
+    the corners of as many pairs as fit in _GROUP_MASKS masks, at least one,
+    and yields their (pairs, budget) block.
+    """
+    n = game.n
+    enumerate_all = _enumerates(n, m, budget)
+    group = max(1, _GROUP_MASKS // (4 * budget))
+    for start in range(0, len(pairs), group):
+        chunk = pairs[start:start + group]
+        corners = np.concatenate([
+            _corners(enumerated_contexts(n, lo, hi, m) if enumerate_all
+                     else _contexts(n, lo, hi, m, budget, seed), lo, hi)
+            for lo, hi in chunk])
+        yield _deltas(evaluate(game, corners, x), len(chunk))
 
 
 def interaction_order_exact(game: ValueFunction, i: int, j: int, m: int,
                             x=None) -> InteractionEstimate:
     """Average delta_v over every size-m context; needs n <= MAX_TABLE_PLAYERS.
 
-    The 4 C(n-2, m) coalitions are evaluated in one batch.
+    The 4 C(n-2, m) coalitions go through evaluate as one block of _pair_deltas.
     """
     n = game.n
-    lo, hi = _check_pair(n, i, j)
+    pair = _check_pair(n, i, j)
     _check_order(n, m)
     _check_table_size(n)
-    base_bits = enumerated_contexts(n, lo, hi, m)
-    deltas = _deltas(evaluate_batch(game, _corners(base_bits, lo, hi), x))[0]
+    deltas = next(_pair_deltas(game, x, m, [pair], comb(n - 2, m), 0))[0]
     return InteractionEstimate(value=float(deltas.mean()), std_error=0.0,
-                               samples_used=len(base_bits), exact=True)
-
-
-def _contexts(n: int, lo: int, hi: int, m: int, num_samples: int, seed: int) -> np.ndarray:
-    """num_samples uniform size-m contexts of the pair, from the pair's own stream."""
-    pool = ((1 << n) - 1) & ~((1 << lo) | (1 << hi))
-    return sample_subsets(pool, m, num_samples, make_rng(seed, lo, hi, m))
+                               samples_used=len(deltas), exact=True)
 
 
 def interaction_order_mc(game: ValueFunction, i: int, j: int, m: int,
@@ -235,23 +258,22 @@ def interaction_order_mc(game: ValueFunction, i: int, j: int, m: int,
     """Monte Carlo counterpart of interaction_order_exact.
 
     Contexts are drawn uniformly with replacement from the size-m subsets of
-    the remaining players, and their coalitions are evaluated in one batch.
-    When the budget equals the context count and n <= MAX_TABLE_PLAYERS, the
-    estimator enumerates instead, reported with exact=True and zero standard
-    error; any other budget keeps drawing with replacement so std_error stays
-    an honest dispersion measure even past the context count. std_error is
-    the sample standard deviation (ddof=1) over sqrt(num_samples); a single
-    draw cannot estimate it and reports 0.
+    the remaining players. When the budget equals the context count and
+    n <= MAX_TABLE_PLAYERS, the estimator enumerates instead, reported with
+    exact=True and zero standard error; any other budget keeps drawing with
+    replacement so std_error stays an honest dispersion measure even past
+    the context count. std_error is the sample standard deviation (ddof=1)
+    over sqrt(num_samples); a single draw cannot estimate it and reports 0.
+    The coalitions go through evaluate as one block of _pair_deltas.
     """
     n = game.n
-    lo, hi = _check_pair(n, i, j)
+    pair = _check_pair(n, i, j)
     _check_order(n, m)
     if num_samples < 1:
         raise DomainError(f"num_samples must be positive, got {num_samples}")
-    if n <= MAX_TABLE_PLAYERS and num_samples == comb(n - 2, m):
+    if _enumerates(n, m, num_samples):
         return interaction_order_exact(game, i, j, m, x=x)
-    contexts = _contexts(n, lo, hi, m, num_samples, seed)
-    deltas = _deltas(evaluate_batch(game, _corners(contexts, lo, hi), x))[0]
+    deltas = next(_pair_deltas(game, x, m, [pair], num_samples, seed))[0]
     se = float(np.std(deltas, ddof=1) / np.sqrt(num_samples)) if num_samples > 1 else 0.0
     return InteractionEstimate(value=float(deltas.mean()), std_error=se,
                                samples_used=num_samples, exact=False)
@@ -260,28 +282,6 @@ def interaction_order_mc(game: ValueFunction, i: int, j: int, m: int,
 def _capped_budget(n: int, m: int, budget: int) -> int:
     # cap only where enumeration is allowed to take over
     return min(budget, comb(n - 2, m)) if n <= MAX_TABLE_PLAYERS else budget
-
-
-def _pair_means(game: ValueFunction, x, m: int, pairs: list[tuple[int, int]], budget: int,
-                seed: int) -> np.ndarray:
-    """interaction_order_mc(game, i, j, m, budget, seed, x).value for each sorted pair.
-
-    The same contexts (enumerated when budget is the context count), but the
-    corners of many pairs go through one evaluate call: as many pairs as fit
-    in _GROUP_MASKS masks, and at least one.
-    """
-    n = game.n
-    enumerate_all = n <= MAX_TABLE_PLAYERS and budget == comb(n - 2, m)
-    group = max(1, _GROUP_MASKS // (4 * budget))
-    means = []
-    for start in range(0, len(pairs), group):
-        chunk = pairs[start:start + group]
-        corners = np.concatenate([
-            _corners(enumerated_contexts(n, lo, hi, m) if enumerate_all
-                     else _contexts(n, lo, hi, m, budget, seed), lo, hi)
-            for lo, hi in chunk])
-        means.append(_deltas(evaluate(game, corners, x), len(chunk)).mean(axis=1))
-    return np.concatenate(means)
 
 
 def _pair_grid(n: int, pair_budget: int, seed: int, m: int) -> list[tuple[int, int]]:
@@ -323,8 +323,8 @@ def order_profile(game: ValueFunction, samples: Sequence,
     under its own derived seed: pairs are sampled without replacement when
     pair_budget is below the full pair count, the subset budget is capped at
     the context count (so covered orders are enumerated exactly), and each
-    order's pairs, in fixed pair order, go through evaluate together; each
-    pair's mean is the value interaction_order_mc returns for it. The
+    order's pairs, in fixed pair order, go through _pair_deltas; each pair's
+    mean is the value interaction_order_mc returns for it. The
     normalization denominator is the mean over the declared grid only.
     """
     n = game.n
@@ -357,9 +357,10 @@ def order_profile(game: ValueFunction, samples: Sequence,
         for t, sample in enumerate(samples):
             sample_seed = child_seed(seed, _SAMPLE_STREAM, t)
             for col, m in enumerate(grid):
-                pairs = _pair_grid(n, pair_budget, sample_seed, m)
-                per_sample[t, col] = np.mean(np.abs(_pair_means(
-                    game, sample, m, pairs, _capped_budget(n, m, subset_budget), sample_seed)))
+                blocks = _pair_deltas(game, sample, m, _pair_grid(n, pair_budget, sample_seed, m),
+                                      _capped_budget(n, m, subset_budget), sample_seed)
+                means = np.concatenate([block.mean(axis=1) for block in blocks])
+                per_sample[t, col] = np.mean(np.abs(means))
     strengths = per_sample.mean(axis=0)
     mean = float(strengths.mean())
     if np.isfinite(mean) and mean > 0:

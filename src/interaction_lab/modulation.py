@@ -4,13 +4,14 @@ For fractions r1 < r2 with sizes s_k = round(r_k * n) (half up), the band signal
 
     Du(r1, r2) = E[ v(S2) - (s2/s1) * v(S1) ]        (S1 strictly inside S2)
 
-averages over nested subset pairs |S1| = s1, |S2| = s2. Sampling takes one
-uniform permutation of the n player bits per pair: S2 is its first s2
-players and S1 its first s1. So S2 is uniform at size s2 and S1 uniform
-inside it; because every S2 contains the same number of size-s1 subsets,
-both marginals are uniform and the pair distribution matches the nested
-expectation. A training loss draws every pair of one step's batch from one
-generator per (step, term), pair_samples consecutive pairs per row.
+averages over nested subset pairs |S1| = s1, |S2| = s2. The pairs come from
+games.sample_subsets, the sampler interaction contexts use too, with sizes
+(s1, s2): one uniform permutation of the n player bits per pair, S2 its
+first s2 players and S1 its first s1. So S2 is uniform at size s2 and S1
+uniform inside it; because every S2 contains the same number of size-s1
+subsets, both marginals are uniform and the pair distribution matches the
+nested expectation. A training loss draws every pair of one step's batch
+from one generator per (step, term), pair_samples consecutive pairs per row.
 
 Both marginals being uniform, Du = mu_{s2} - (s2/s1) mu_{s1}, where mu_s is the
 mean of v over size s. Expanding it in per-order interactions gives the
@@ -43,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NumericError, ValidationError
-from .games import _PLAYER_BITS, Baseline, masked_matrix
+from .games import Baseline, masked_matrix, sample_subsets
 from .interactions import order_weights, pair_order_table, size_means, value_table
 from .mlp import (MLP, ParamGrads, _checked_cross_entropy, ce_value_and_grad, cross_entropy,
                   cross_entropy_grad, log_softmax)
@@ -132,18 +133,6 @@ def _effective_ratio(s1: int, s2: int) -> float:
     return s2 / s1 if s1 > 0 else 1.0
 
 
-def _sample_pairs(n: int, s1: int, s2: int, count: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """(2, count) uint64 masks: row 0 holds each S1, row 1 the S2 around it.
-
-    Pair p permutes the n player bits with one rng.permuted row; S2 sums
-    the first s2 of them and S1 the first s1.
-    """
-    order = rng.permuted(np.broadcast_to(_PLAYER_BITS[:n], (count, n)), axis=1)
-    return np.stack([order[:, :s1].sum(axis=1, dtype=np.uint64),
-                     order[:, :s2].sum(axis=1, dtype=np.uint64)])
-
-
 def _exact_delta_u(table: np.ndarray, n: int, s1: int, s2: int) -> float:
     # both marginals of the nested pair are uniform, so the pair mean splits
     # into the mean value at size s2 minus ratio times the mean at size s1
@@ -166,7 +155,8 @@ def _band_stack(spec: ModulationSpec, X: np.ndarray, baseline: Baseline,
         raise DomainError(f"batch must have shape (rows, {n}), got {X.shape}")
     s1, s2 = band_sizes(n, spec.r1, spec.r2)
     batch, pair_samples = len(X), spec.pair_samples
-    pairs = _sample_pairs(n, s1, s2, batch * pair_samples, make_rng(seed, _ROW_STREAM))
+    pairs = sample_subsets((1 << n) - 1, (s1, s2), batch * pair_samples,
+                           make_rng(seed, _ROW_STREAM))
     bits = pairs.reshape(2, batch, pair_samples).transpose(1, 0, 2)
     stacked = masked_matrix(np.repeat(X, 2 * pair_samples, axis=0), bits.reshape(-1), baseline)
     return stacked, _effective_ratio(s1, s2)

@@ -77,17 +77,17 @@ def test_compute_baseline_is_column_means():
 
 def test_sample_subset_is_within_pool_and_seeded():
     pool = 0b01010101
-    a = int(sample_subsets(pool, 2, 1, make_rng(9))[0])
-    b = int(sample_subsets(pool, 2, 1, make_rng(9))[0])
+    a = int(sample_subsets(pool, (2,), 1, make_rng(9))[0, 0])
+    b = int(sample_subsets(pool, (2,), 1, make_rng(9))[0, 0])
     assert a == b
     assert a & ~pool == 0 and a.bit_count() == 2
     with pytest.raises(DomainError):
-        sample_subsets(pool, 5, 1, make_rng(0))
+        sample_subsets(pool, (5,), 1, make_rng(0))
 
 
 def test_sample_subset_permutes_sorted_members():
     pool = TOP | 0b1010
-    picked = int(sample_subsets(pool, 2, 1, make_rng(4))[0])
+    picked = int(sample_subsets(pool, (2,), 1, make_rng(4))[0, 0])
     members = make_rng(4).permutation([1, 3, 63])[:2]
     assert picked == sum(1 << int(k) for k in members)
 
@@ -99,12 +99,22 @@ def test_sample_subsets_equals_sample_subset_loop(n):
     members = np.array([1 << k for k in range(n) if k != 1], dtype=np.uint64)
     for m in range(n):
         batched_rng, loop_rng = make_rng(n, m), make_rng(n, m)
-        batched = sample_subsets(pool, m, 17, batched_rng)
+        batched = sample_subsets(pool, (m,), 17, batched_rng)
         loop = [int(loop_rng.permutation(members)[:m].sum()) for _ in range(17)]
-        assert batched.dtype == np.uint64 and batched.tolist() == loop
+        assert batched.dtype == np.uint64 and batched.tolist() == [loop]
         assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
+    # nested sizes: prefix sums of one permutation per draw
+    s1, s2 = n // 3, n - 1
+    batched_rng, loop_rng = make_rng(n, s1, s2), make_rng(n, s1, s2)
+    batched = sample_subsets(pool, (s1, s2), 17, batched_rng)
+    loop = [loop_rng.permutation(members) for _ in range(17)]
+    assert batched.dtype == np.uint64 and batched.shape == (2, 17)
+    assert batched.tolist() == [[int(p[:s].sum()) for p in loop] for s in (s1, s2)]
+    assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
     with pytest.raises(DomainError):
-        sample_subsets(pool, n, 3, make_rng(0))
+        sample_subsets(pool, (n,), 3, make_rng(0))
+    with pytest.raises(DomainError):
+        sample_subsets(pool, (0, n), 3, make_rng(0))
 
 
 def test_terms_are_sorted_index_tuples():

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from interaction_lab import (
     MLP,
     Baseline,
+    DimensionError,
     GuardError,
     LogOddsGame,
     SyntheticGame,
     ValidationError,
+    ValueFunction,
     default_order_grid,
     efficiency_residual,
     interaction_order_exact,
@@ -252,6 +254,45 @@ def test_sampled_profile_bounds_each_evaluate_call(monkeypatch):
     sizes.clear()
     order_profile(game, [None], [5], pair_budget=276, subset_budget=100, seed=0)
     assert max(sizes) <= 65536 and sum(sizes) == 276 * 400
+
+
+class _RecordingGame(ValueFunction):
+    """A closed-form game that records how many masks each evaluate_many call holds."""
+
+    def __init__(self, game, drop_from_short_calls=False):
+        self.game, self.n, self.sizes = game, game.n, []
+        self.drop = drop_from_short_calls
+
+    def evaluate_many(self, bits, x=None):
+        self.sizes.append(len(bits))
+        values = self.game.evaluate_many(bits, x)
+        return values[1:] if self.drop and len(bits) < interactions.EVAL_CHUNK else values
+
+
+def test_single_pair_estimators_evaluate_in_bounded_chunks():
+    poly = synthetic_game(SyntheticGame.random_polynomial(12, degree=6, num_terms=30, seed=2))
+    game = _RecordingGame(poly)
+    # C(10, 5) = 252 contexts: 1008 masks
+    exact = interaction_order_exact(game, 2, 9, 5)
+    assert sum(game.sizes) == 1008 and max(game.sizes) <= interactions.EVAL_CHUNK
+    assert exact == interaction_order_exact(poly, 2, 9, 5)
+    game.sizes.clear()
+    mc = interaction_order_mc(game, 2, 9, 5, num_samples=2000, seed=1)
+    assert sum(game.sizes) == 8000 and max(game.sizes) <= interactions.EVAL_CHUNK
+    assert mc == interaction_order_mc(poly, 2, 9, 5, num_samples=2000, seed=1)
+    # every chunk, the short last one included, must hold one value per mask
+    with pytest.raises(DimensionError):
+        interaction_order_exact(_RecordingGame(poly, drop_from_short_calls=True), 2, 9, 5)
+
+
+@pytest.mark.parametrize("n", [4, 12, 20])
+def test_enumerated_contexts_match_the_combination_sums(n):
+    for i, j in [(n - 1, 0), (0, 1), (n - 2, n - 1)]:
+        pool = [k for k in range(n) if k not in (i, j)]
+        for m in range(n - 1):
+            expected = [sum(1 << k for k in combo) for combo in itertools.combinations(pool, m)]
+            got = interactions.enumerated_contexts(n, i, j, m)
+            assert got.dtype == np.uint64 and got.tolist() == expected
 
 
 @pytest.mark.parametrize("n", [8, 10])

@@ -27,8 +27,9 @@ from interaction_lab import (
     synthetic_game,
     verify_theorem2,
 )
+from interaction_lab.games import sample_subsets
 from interaction_lab.interactions import value_table
-from interaction_lab.modulation import _ROW_STREAM, _band_stack, _exact_delta_u, _sample_pairs
+from interaction_lab.modulation import _ROW_STREAM, _band_stack, _exact_delta_u
 
 from _fd import fd_check, flatten_grads
 
@@ -195,7 +196,7 @@ def _pair_draws(draw):
 @example((64, 63, 64, 64, 1))
 def test_sample_pairs_are_nested_and_sized(draw):
     n, s1, s2, count, seed = draw
-    pairs = _sample_pairs(n, s1, s2, count, make_rng(seed))
+    pairs = sample_subsets((1 << n) - 1, (s1, s2), count, make_rng(seed))
     assert pairs.dtype == np.uint64 and pairs.shape == (2, count)
     for inner, outer in zip(pairs[0].tolist(), pairs[1].tolist()):
         assert inner.bit_count() == s1 and outer.bit_count() == s2
@@ -205,7 +206,7 @@ def test_sample_pairs_are_nested_and_sized(draw):
 
 def test_sample_pairs_are_uniform_over_nested_pairs():
     n, s1, s2, draws = 5, 1, 3, 30_000
-    pairs = _sample_pairs(n, s1, s2, draws, make_rng(2024))
+    pairs = sample_subsets((1 << n) - 1, (s1, s2), draws, make_rng(2024))
     counts = Counter(zip(pairs[0].tolist(), pairs[1].tolist()))
     # C(5, 3) outer sets times 3 inner players each
     expected = {(1 << i, sum(1 << k for k in big))
@@ -231,7 +232,8 @@ def test_band_delta_logits_masks_follow_seed_and_batch():
     assert not np.array_equal(masks, _stack_masks(12, batch, pair_samples))
     # one stream per call: row b holds pairs [Pb, P(b+1)), its S1s then its S2s
     s1, s2 = band_sizes(6, 0.3, 0.7)
-    pairs = _sample_pairs(6, s1, s2, batch * pair_samples, make_rng(11, _ROW_STREAM))
+    pairs = sample_subsets((1 << 6) - 1, (s1, s2), batch * pair_samples,
+                           make_rng(11, _ROW_STREAM))
     rows = pairs.reshape(2, batch, pair_samples).transpose(1, 0, 2).reshape(-1)
     assert masks.tolist() == rows.tolist()
 
