@@ -37,6 +37,8 @@ MAX_TABLE_PLAYERS = 20  # bounds every exact path: value tables and pair enumera
 EVAL_CHUNK = 256  # masks per evaluate_many call of evaluate, whatever asks for them
 # masks per evaluate call of _pair_deltas, unless one pair needs more
 _GROUP_MASKS = 65536
+# pair-contexts up to which pair_order_table reduces every pair in one gather (n <= 10)
+_GATHER_CONTEXTS = 1 << 14
 
 # Stream ids reserved so derived streams can never collide with the per-pair
 # context streams, whose first path component is a player index.
@@ -179,15 +181,49 @@ def size_means(values: np.ndarray, k: int) -> np.ndarray:
     return np.bincount(order, weights=values, minlength=k + 1) / counts
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_corners(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Table indices of every pair's four corners, and each context's pair-major bin.
+
+    Row 0 holds each context with both players, row 1 with neither, row 2
+    with the lower player only, row 3 with the higher only; pairs run in
+    combinations order and each pair's contexts in ascending mask order. The
+    bin of a context is pair * (n - 1) + its size.
+    """
+    masks = np.arange(1 << n)
+    sizes = _popcounts(n)[0]
+    corners, bins = [], []
+    for p, (lo, hi) in enumerate(itertools.combinations(range(n), 2)):
+        blo, bhi = 1 << lo, 1 << hi
+        none = masks[(masks & (blo | bhi)) == 0]
+        corners.append([none | blo | bhi, none, none | blo, none | bhi])
+        bins.append(p * (n - 1) + sizes[none])
+    corners, bins = np.concatenate(corners, axis=1), np.concatenate(bins)
+    corners.setflags(write=False)
+    bins.setflags(write=False)
+    return corners, bins
+
+
 def pair_order_table(table: np.ndarray, n: int) -> np.ndarray:
     """Exact I_m(i, j) for m = 0..n-2, one row per pair i < j in combinations order.
 
-    The table is copied once per player i into the halves without and with
-    i, each in ascending mask order. For every j > i the four corners are
-    then views of those halves in contiguous runs of 2^(j-1) values, and
-    their contexts stay in ascending mask order, so one popcount bincount of
-    the pair's delta_v gives every order's mean.
+    Each pair's delta_v is (v_both + v_none) - (v_low + v_high) over its
+    contexts in ascending mask order, and a bincount by context size sums
+    them in that order before dividing by C(n - 2, m). Up to
+    _GATHER_CONTEXTS pair-contexts (n <= 10), one gather of the cached
+    _pair_corners and one bincount over pair-major bins reduce every pair
+    at once. Larger tables copy the table once per player i into the halves
+    without and with i; for every j > i the four corners are then views of
+    those halves in contiguous runs of 2^(j-1) values. Both paths do the
+    same additions in the same order, so they agree bit for bit.
     """
+    pairs = n * (n - 1) // 2
+    if pairs << (n - 2) <= _GATHER_CONTEXTS:
+        corners, bins = _pair_corners(n)
+        v = table[corners]
+        deltas = (v[0] + v[1]) - (v[2] + v[3])
+        sums = np.bincount(bins, weights=deltas, minlength=pairs * (n - 1))
+        return sums.reshape(pairs, n - 1) / _popcounts(n - 2)[1]
     rows = []
     for lo in range(n - 1):
         halves = table.reshape(-1, 2, 1 << lo).transpose(1, 0, 2).copy()
@@ -196,6 +232,16 @@ def pair_order_table(table: np.ndarray, n: int) -> np.ndarray:
             deltas = (v[1, :, 1] + v[0, :, 0]) - (v[1, :, 0] + v[0, :, 1])
             rows.append(size_means(deltas.ravel(), n - 2))
     return np.array(rows)
+
+
+def ordered_row_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum of the rows added one after another to zeros, as a loop over them would.
+
+    np.add.accumulate is sequential by definition, where sum(axis=0) may
+    sum pairwise; the zero row in front keeps a loop's signed zeros.
+    """
+    rows = np.concatenate([np.zeros((1,) + rows.shape[1:]), rows])
+    return np.add.accumulate(rows, axis=0)[-1]
 
 
 def enumerated_contexts(n: int, i: int, j: int, m: int) -> np.ndarray:
@@ -410,10 +456,8 @@ def efficiency_residual(game: ValueFunction, x=None) -> EfficiencyReport:
     independent = float(sum(table[1 << i] - v_empty for i in range(n)))
 
     weights = order_weights(n, {n: 1.0, 0: -1.0})
-    per_order = np.zeros(n - 1)
-    for row in pair_order_table(table, n):
-        # ordered pairs: (i, j) and (j, i) contribute the same interaction
-        per_order += 2.0 * weights * row
+    # ordered pairs: (i, j) and (j, i) contribute the same interaction
+    per_order = ordered_row_sum(2.0 * weights * pair_order_table(table, n))
 
     reconstruction = v_empty + independent + float(per_order.sum())
     residual = abs(lhs - reconstruction)

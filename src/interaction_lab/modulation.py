@@ -45,7 +45,8 @@ import numpy as np
 
 from .errors import DomainError, NumericError, ValidationError
 from .games import Baseline, masked_matrix, sample_subsets
-from .interactions import order_weights, pair_order_table, size_means, value_table
+from .interactions import (order_weights, ordered_row_sum, pair_order_table, size_means,
+                           value_table)
 from .mlp import (MLP, ParamGrads, _checked_cross_entropy, ce_value_and_grad, cross_entropy,
                   cross_entropy_grad, log_softmax)
 from .rng import child_seed, make_rng
@@ -266,7 +267,7 @@ def verify_theorem2(n: int, r1: float, r2: float, num_games: int, seed: int) -> 
         table = value_table(synthetic_game(spec))
         measured = _exact_delta_u(table, n, s1, s2)
         # ordered pairs: (i, j) and (j, i) carry the same interaction
-        pair_sums = 2.0 * sum(pair_order_table(table, n))
+        pair_sums = 2.0 * ordered_row_sum(pair_order_table(table, n))
         recon = (1.0 - ratio) * float(table[0]) + float(weights @ pair_sums)
         worst = max(worst, abs(measured - recon))
     return worst

@@ -1,17 +1,22 @@
 """End-to-end tests of the command-line interface and its exit codes."""
+import contextlib
+import io
 import json
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import interaction_lab
 from interaction_lab import MLP, make_pairwise_task, save_model, write_dataset_csv
-from interaction_lab import cli
+from interaction_lab import cli, interactions
 from interaction_lab.cli import main
 
 
@@ -222,6 +227,53 @@ def test_verify_gradsim_checks_absolute_norms(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "status=FAIL" in captured.out and "max_norm_deviation=" in captured.out
     assert "error: verification:" in captured.err
+
+
+def _verify_stdout(suite, seed, capsys):
+    assert main(["verify", "--suite", suite, "--seed", str(seed)]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("suite", ["efficiency", "theorem2"])
+def test_verify_prints_the_same_bytes_on_both_reduction_paths(suite, seed, monkeypatch, capsys):
+    interactions._pair_corners.cache_clear()
+    gathered = _verify_stdout(suite, seed, capsys)
+    assert interactions._pair_corners.cache_info().currsize > 0
+    with monkeypatch.context() as patch:
+        # no table is small enough to gather: every pair goes through the loop
+        patch.setattr(interactions, "_GATHER_CONTEXTS", 0)
+        looped = _verify_stdout(suite, seed, capsys)
+    hits = interactions._pair_corners.cache_info().hits
+    again = _verify_stdout(suite, seed, capsys)
+    assert interactions._pair_corners.cache_info().hits > hits
+    assert gathered == looped == again
+
+
+_ARBITRARY = st.text(max_size=12)
+_SEEDS = st.one_of(st.integers(-5, 2**70).map(str), _ARBITRARY)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("verify"),
+              st.one_of(st.sampled_from(["efficiency", "theorem2"]), _ARBITRARY), _SEEDS),
+    st.tuples(st.just("theory"), st.one_of(st.integers(-5, 2000).map(str), _ARBITRARY),
+              _SEEDS)))
+def test_verify_and_theory_keep_the_exit_code_contract(flags):
+    command, value, seed = flags
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as root:
+        if command == "verify":
+            argv = ["verify", "--suite", value, "--seed", seed]
+        else:
+            argv = ["theory", "--n", value, "--seed", seed, "--out", str(Path(root) / "c.csv")]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2, 3)
+    assert sum(line.startswith("error: ") for line in lines) <= 1
+    assert "Traceback" not in err.getvalue()
 
 
 def test_usage_errors_exit_1(capsys):

@@ -391,9 +391,34 @@ def _cube_pair_means(table, n, lo, hi):
     return interactions.size_means(deltas, n - 2)
 
 
-@pytest.mark.parametrize("n", [2, 3, 7, 12])
+@pytest.mark.parametrize("n", [2, 3, 7, 10, 11, 12])
 def test_pair_order_table_equals_the_cube_reduction_bit_for_bit(n):
+    # n = 10 is the largest table reduced in one gather, n = 11 the smallest looped
     table = np.random.default_rng(n).normal(size=1 << n)
     expected = [_cube_pair_means(table, n, lo, hi)
                 for lo, hi in itertools.combinations(range(n), 2)]
     assert interactions.pair_order_table(table, n).tolist() == np.array(expected).tolist()
+
+
+def test_cached_pair_corners_are_read_only():
+    interactions.pair_order_table(np.zeros(1 << 5), 5)
+    corners, bins = interactions._pair_corners(5)
+    assert corners.shape == (4, comb(5, 2) << 3) and bins.shape == (comb(5, 2) << 3,)
+    with pytest.raises(ValueError):
+        corners[0, 0] = 1
+    with pytest.raises(ValueError):
+        bins[0] = 1
+
+
+def test_ordered_row_sum_keeps_the_loop_bits():
+    # a loop over the rows from zeros: the zero start turns an all -0.0 column into +0.0
+    rows = np.array([[-0.0, 1e16, 0.1], [-0.0, 1.0, 0.2], [-0.0, -1e16, 0.3], [-0.0, 1.0, 0.4]])
+    expected = np.zeros(3)
+    for row in rows:
+        expected += row
+    assert interactions.ordered_row_sum(rows).tobytes() == expected.tobytes()
+    column = np.random.default_rng(0).normal(size=(40, 1))
+    expected = np.zeros(1)
+    for row in column:
+        expected += row
+    assert interactions.ordered_row_sum(column).tobytes() == expected.tobytes()
