@@ -12,8 +12,8 @@ for the duration of the command.
 Errors leave on stderr as one machine-parsable line, `error: <kind>: <text>`,
 with the exit code encoding the kind: 1 for validation/schema problems, for
 files that cannot be read, decoded as UTF-8 or written, and for sizes whose
-arrays cannot be allocated, 2 for verification failures, 3 for numeric
-failures. Every text file is read and written as UTF-8 whatever the locale.
+arrays cannot be allocated or indexed, 2 for verification failures, 3 for
+numeric failures. Every text file is read and written as UTF-8 whatever the locale.
 """
 from __future__ import annotations
 
@@ -220,9 +220,8 @@ def _cmd_analyze(args) -> int:
     grid = _parse_orders(args.orders, n)
     pair_budget = args.pairs if args.pairs > 0 else n * (n - 1) // 2
     rows = min(args.rows, dataset.num_rows) if args.rows > 0 else dataset.num_rows
-    samples = [(features[t], int(dataset.labels[t])) for t in range(rows)]
-    game = LogOddsGame(model, baseline)
-    profile = order_profile(game, samples, grid, pair_budget=pair_budget,
+    games = [LogOddsGame(model, baseline, features[t], dataset.labels[t]) for t in range(rows)]
+    profile = order_profile(games, grid, pair_budget=pair_budget,
                             subset_budget=args.samples, seed=args.seed)
     # the budgets the profile used: on the value-table path they are the
     # enumeration amounts, whatever --pairs and --samples asked for
@@ -251,11 +250,11 @@ def _cmd_theory(args) -> int:
                 "fit_sha256": args.fit and _file_sha256(args.fit),
                 "seed": args.seed}
     digest = _config_hash(resolved)
+    # fit before writing anything, so a profile that cannot be fit leaves no curve file
+    fit = fit_effective_n(read_profile_csv(args.fit)[0]) if args.fit else None
     write_theory_csv(args.out, curve, {"config_sha256": digest, "seed": args.seed})
     print(f"wrote {args.out} n={args.n}")
-    if args.fit:
-        profile, _ = read_profile_csv(args.fit)
-        fit = fit_effective_n(profile)
+    if fit:
         result = {"n_prime": fit.n_prime, "mismatch": fit.mismatch,
                   "config_sha256": digest, "seed": args.seed}
         _print_json(result)

@@ -3,10 +3,11 @@
 A "player" is one input dimension; a game has n players, 2 <= n <= 64. A
 coalition S is the set of unmasked players, held as one unsigned 64-bit
 mask: bit k is set when player k is in S. Everything outside S is replaced
-by a per-variable baseline value. ValueFunction.evaluate_many takes an array
-of masks (numpy uint64, or Python ints) and returns one value per mask.
-Synthetic polynomial games evaluate v(S) exactly from a term list and serve
-as ground truth for the interaction estimators.
+by a per-variable baseline value. A game is v(S) of one input, which it
+holds: ValueFunction.evaluate_many takes only an array of masks (numpy
+uint64, or Python ints) and returns one value per mask. Synthetic polynomial
+games evaluate v(S) exactly from a term list and serve as ground truth for
+the interaction estimators.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import DimensionError, DomainError, ValidationError
 
 MAX_PLAYERS = 64  # a coalition is one uint64 mask
+MAX_ARRAY_ITEMS = np.iinfo(np.intp).max // 8  # 8-byte items numpy can index
 _PLAYER_BITS = np.uint64(1) << np.arange(MAX_PLAYERS, dtype=np.uint64)
 
 
@@ -99,29 +101,31 @@ def sample_subsets(pool: int, sizes: tuple[int, ...], count: int,
     All draws come from one rng.permuted call, which shuffles row by row with
     the same draws as one rng.permutation per row: draw k and the generator's
     end state equal those of count calls of rng.permutation(members). An
-    identical stream gives identical subsets.
+    identical stream gives identical subsets; more draws than numpy can
+    index raise DomainError.
     """
     members = _members(pool)
     for m in sizes:
         if not (0 <= m <= len(members)):
             raise DomainError(f"subset size {m} outside [0, {len(members)}]")
+    if count * len(members) > MAX_ARRAY_ITEMS:
+        raise DomainError(f"{count} draws of {len(members)} players exceed numpy's index range")
     order = rng.permuted(np.broadcast_to(members, (count, len(members))), axis=1)
     return np.stack([order[:, :m].sum(axis=1, dtype=np.uint64) for m in sizes])
 
 
 class ValueFunction(ABC):
-    """Deterministic, side-effect-free masked-input score v(S | x).
+    """Deterministic, side-effect-free masked-input score v(S) of one input.
 
-    evaluate_many(bits, x) takes an array of coalition masks (bit k set when
-    player k is unmasked) and returns one float per mask. `x` is whatever the
-    concrete game expects (closed-form games ignore it; model-backed games
-    take a sample or a (features, label) pair).
+    evaluate_many(bits) takes an array of coalition masks (bit k set when
+    player k is unmasked) and returns one float per mask. A game that scores
+    a model on a sample holds that sample itself.
     """
 
     n: int
 
     @abstractmethod
-    def evaluate_many(self, bits, x=None) -> np.ndarray:
+    def evaluate_many(self, bits) -> np.ndarray:
         ...
 
 
@@ -129,22 +133,17 @@ class ValueFunction(ABC):
 class SyntheticGame:
     """Closed-form polynomial game spec: v(S) = sum of coeff(T) over terms T in S.
 
-    kind "additive" holds one degree-1 term per player, "conjunction" a single
-    unit term on the required coalition, "random_polynomial" a seeded list of
-    distinct-coalition terms with degree <= degree. Each term's coalition is
+    additive holds one degree-1 term per player, conjunction a single unit
+    term on the required coalition, random_polynomial a seeded list of
+    distinct-coalition terms of bounded degree. Each term's coalition is
     held as a sorted tuple of player indices; any iterable of indices (a
     frozenset, say) is accepted and normalized.
     """
 
-    kind: str
     n: int
     terms: tuple[tuple[tuple[int, ...], float], ...]
-    seed: int | None = None
-    degree: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("additive", "conjunction", "random_polynomial"):
-            raise ValidationError(f"unknown game kind {self.kind!r}")
         self.terms = tuple((tuple(sorted({int(k) for k in coalition})), coeff)
                            for coalition, coeff in self.terms)
         seen = set()
@@ -162,11 +161,11 @@ class SyntheticGame:
     def additive(cls, coefficients: Sequence[float]) -> "SyntheticGame":
         coeffs = [float(a) for a in coefficients]
         terms = tuple(((k,), a) for k, a in enumerate(coeffs))
-        return cls(kind="additive", n=len(coeffs), terms=terms)
+        return cls(n=len(coeffs), terms=terms)
 
     @classmethod
     def conjunction(cls, n: int, coalition: Sequence[int]) -> "SyntheticGame":
-        return cls(kind="conjunction", n=n, terms=((tuple(coalition), 1.0),))
+        return cls(n=n, terms=((tuple(coalition), 1.0),))
 
     @classmethod
     def random_polynomial(cls, n: int, degree: int, num_terms: int, seed: int) -> "SyntheticGame":
@@ -183,20 +182,19 @@ class SyntheticGame:
             raise ValidationError(f"at most {len(pool)} distinct coalitions exist")
         chosen = rng.permutation(len(pool))[:num_terms]
         terms = tuple((pool[int(k)], float(rng.normal())) for k in sorted(chosen))
-        return cls(kind="random_polynomial", n=n, terms=terms, seed=seed, degree=degree)
+        return cls(n=n, terms=terms)
 
 
 class PolynomialGame(ValueFunction):
     """Exact evaluator for a SyntheticGame; v(S) = sum of coefficients of terms inside S."""
 
     def __init__(self, spec: SyntheticGame):
-        self.spec = spec
         self.n = check_player_count(spec.n)
         self._term_bits = np.array(
             [sum(1 << k for k in coal) for coal, _ in spec.terms], dtype=np.uint64)
         self._coeffs = np.array([c for _, c in spec.terms], dtype=float)
 
-    def evaluate_many(self, bits, x=None) -> np.ndarray:
+    def evaluate_many(self, bits) -> np.ndarray:
         bits = as_masks(bits, self.n).reshape(-1, 1)
         inside = (self._term_bits[None, :] & bits) == self._term_bits[None, :]
         # row-wise reduction keeps each value independent of batch size

@@ -1,6 +1,7 @@
 """Pairwise interaction estimates at fixed context size.
 
-The elementary quantity is the second-order difference
+Each game is v(S) of one input, and a profile takes one game per input. The
+elementary quantity is the second-order difference
 
     delta_v(i, j, S) = [v(S+{i,j}) - v(S+{j})] - [v(S+{i}) - v(S)]
 
@@ -101,8 +102,8 @@ class EfficiencyReport:
     relative_residual: float
 
 
-def evaluate(game: ValueFunction, bits, x=None) -> np.ndarray:
-    """v(S | x) for each mask of bits, in order, EVAL_CHUNK masks per evaluate_many call.
+def evaluate(game: ValueFunction, bits) -> np.ndarray:
+    """v(S) for each mask of bits, in order, EVAL_CHUNK masks per evaluate_many call.
 
     The library's one caller of evaluate_many. The chunks are consecutive
     slices of bits, so every value comes from the same batch on every run,
@@ -112,7 +113,7 @@ def evaluate(game: ValueFunction, bits, x=None) -> np.ndarray:
     out = np.empty(len(bits))
     for start in range(0, len(bits), EVAL_CHUNK):
         chunk = bits[start:start + EVAL_CHUNK]
-        values = np.asarray(game.evaluate_many(chunk, x=x), dtype=float)
+        values = np.asarray(game.evaluate_many(chunk), dtype=float)
         if values.shape != (len(chunk),):
             raise DimensionError(
                 f"evaluate_many returned shape {values.shape} for {len(chunk)} masks")
@@ -125,8 +126,8 @@ def _check_table_size(n: int) -> None:
         raise GuardError(f"exact work is limited to n <= {MAX_TABLE_PLAYERS}, got n={n}")
 
 
-def value_table(game: ValueFunction, x=None) -> np.ndarray:
-    """v(S | x) for every mask S, indexed by the mask; needs n <= MAX_TABLE_PLAYERS.
+def value_table(game: ValueFunction) -> np.ndarray:
+    """v(S) for every mask S, indexed by the mask; needs n <= MAX_TABLE_PLAYERS.
 
     The masks go through evaluate in ascending order. The GuardError raised
     here is the size guard of every exact quantity: table-backed profiles,
@@ -134,7 +135,7 @@ def value_table(game: ValueFunction, x=None) -> np.ndarray:
     4 C(n - 2, m) coalitions never outnumber the table's 2^n.
     """
     _check_table_size(game.n)
-    return evaluate(game, np.arange(1 << game.n, dtype=np.uint64), x)
+    return evaluate(game, np.arange(1 << game.n, dtype=np.uint64))
 
 
 def _check_pair(n: int, i: int, j: int) -> tuple[int, int]:
@@ -263,7 +264,7 @@ def _enumerates(n: int, m: int, budget: int) -> bool:
     return n <= MAX_TABLE_PLAYERS and budget == comb(n - 2, m)
 
 
-def _pair_deltas(game: ValueFunction, x, m: int, pairs: Sequence[tuple[int, int]],
+def _pair_deltas(game: ValueFunction, m: int, pairs: Sequence[tuple[int, int]],
                  budget: int, seed: int) -> Iterator[np.ndarray]:
     """Yield delta_v of the sorted pairs over budget size-m contexts each, in blocks.
 
@@ -281,11 +282,10 @@ def _pair_deltas(game: ValueFunction, x, m: int, pairs: Sequence[tuple[int, int]
             _corners(enumerated_contexts(n, lo, hi, m) if enumerate_all
                      else _contexts(n, lo, hi, m, budget, seed), lo, hi)
             for lo, hi in chunk])
-        yield _deltas(evaluate(game, corners, x), len(chunk))
+        yield _deltas(evaluate(game, corners), len(chunk))
 
 
-def interaction_order_exact(game: ValueFunction, i: int, j: int, m: int,
-                            x=None) -> InteractionEstimate:
+def interaction_order_exact(game: ValueFunction, i: int, j: int, m: int) -> InteractionEstimate:
     """Average delta_v over every size-m context; needs n <= MAX_TABLE_PLAYERS.
 
     The 4 C(n-2, m) coalitions go through evaluate as one block of _pair_deltas.
@@ -294,13 +294,13 @@ def interaction_order_exact(game: ValueFunction, i: int, j: int, m: int,
     pair = _check_pair(n, i, j)
     _check_order(n, m)
     _check_table_size(n)
-    deltas = next(_pair_deltas(game, x, m, [pair], comb(n - 2, m), 0))[0]
+    deltas = next(_pair_deltas(game, m, [pair], comb(n - 2, m), 0))[0]
     return InteractionEstimate(value=float(deltas.mean()), std_error=0.0,
                                samples_used=len(deltas), exact=True)
 
 
 def interaction_order_mc(game: ValueFunction, i: int, j: int, m: int,
-                         num_samples: int, seed: int, x=None) -> InteractionEstimate:
+                         num_samples: int, seed: int) -> InteractionEstimate:
     """Monte Carlo counterpart of interaction_order_exact.
 
     Contexts are drawn uniformly with replacement from the size-m subsets of
@@ -318,8 +318,8 @@ def interaction_order_mc(game: ValueFunction, i: int, j: int, m: int,
     if num_samples < 1:
         raise DomainError(f"num_samples must be positive, got {num_samples}")
     if _enumerates(n, m, num_samples):
-        return interaction_order_exact(game, i, j, m, x=x)
-    deltas = next(_pair_deltas(game, x, m, [pair], num_samples, seed))[0]
+        return interaction_order_exact(game, i, j, m)
+    deltas = next(_pair_deltas(game, m, [pair], num_samples, seed))[0]
     se = float(np.std(deltas, ddof=1) / np.sqrt(num_samples)) if num_samples > 1 else 0.0
     return InteractionEstimate(value=float(deltas.mean()), std_error=se,
                                samples_used=num_samples, exact=False)
@@ -350,16 +350,14 @@ def default_order_grid(n: int) -> tuple[int, ...]:
     return tuple(sorted(marks))
 
 
-def order_profile(game: ValueFunction, samples: Sequence,
-                  order_grid: Sequence[int] | None = None, *,
+def order_profile(games: Sequence[ValueFunction], order_grid: Sequence[int] | None = None, *,
                   pair_budget: int, subset_budget: int, seed: int) -> OrderProfile:
-    """Strength per order, averaged over the given samples, normalized to mean one.
+    """Strength per order, averaged over the samples' games, normalized to mean one.
 
     The strength of order m is the mean |I_m(i, j)| over unordered pairs.
 
-    samples is a non-empty sequence of opaque per-sample inputs handed to the
-    game's evaluate_many (closed-form games take [None]; model-backed games take
-    (features, target) pairs). The sampled path would evaluate, per sample,
+    games holds one game per sample, all with the same n (a closed-form game
+    is one sample of itself). The sampled path would evaluate, per sample,
     4 * min(pair_budget, n (n - 1) / 2) * min(subset_budget, C(n - 2, m))
     masks summed over the grid. Where that is at least the 2^n masks of a
     value table and n <= MAX_TABLE_PLAYERS, each sample's table is built once
@@ -373,9 +371,11 @@ def order_profile(game: ValueFunction, samples: Sequence,
     mean is the value interaction_order_mc returns for it. The
     normalization denominator is the mean over the declared grid only.
     """
-    n = game.n
-    if len(samples) == 0:
-        raise ValidationError("need at least one sample to build a profile")
+    if len(games) == 0:
+        raise ValidationError("need at least one game to build a profile")
+    n = games[0].n
+    if any(game.n != n for game in games):
+        raise DimensionError(f"games differ in player count: {sorted({g.n for g in games})}")
     grid = default_order_grid(n) if order_grid is None else tuple(int(m) for m in order_grid)
     if not grid:
         raise DomainError("order grid must not be empty")
@@ -392,18 +392,18 @@ def order_profile(game: ValueFunction, samples: Sequence,
     all_pairs = n * (n - 1) // 2
     sampled_masks = sum(4 * min(pair_budget, all_pairs) * _capped_budget(n, m, subset_budget)
                         for m in grid)
-    per_sample = np.empty((len(samples), len(grid)))
+    per_sample = np.empty((len(games), len(grid)))
     if n <= MAX_TABLE_PLAYERS and (1 << n) <= sampled_masks:
         pair_budget, subset_budget = all_pairs, comb(n - 2, (n - 2) // 2)
-        for t, sample in enumerate(samples):
+        for t, game in enumerate(games):
             # one row of |I_m| per order, in pair order
-            magnitudes = np.abs(pair_order_table(value_table(game, sample), n)).T
+            magnitudes = np.abs(pair_order_table(value_table(game), n)).T
             per_sample[t] = [np.mean(magnitudes[m]) for m in grid]
     else:
-        for t, sample in enumerate(samples):
+        for t, game in enumerate(games):
             sample_seed = child_seed(seed, _SAMPLE_STREAM, t)
             for col, m in enumerate(grid):
-                blocks = _pair_deltas(game, sample, m, _pair_grid(n, pair_budget, sample_seed, m),
+                blocks = _pair_deltas(game, m, _pair_grid(n, pair_budget, sample_seed, m),
                                       _capped_budget(n, m, subset_budget), sample_seed)
                 means = np.concatenate([block.mean(axis=1) for block in blocks])
                 per_sample[t, col] = np.mean(np.abs(means))
@@ -438,7 +438,7 @@ def order_weights(n: int, coeffs: Mapping[int, float]) -> np.ndarray:
     return sum(c * np.maximum(s - 1 - m, 0) for s, c in coeffs.items()) / (n * (n - 1))
 
 
-def efficiency_residual(game: ValueFunction, x=None) -> EfficiencyReport:
+def efficiency_residual(game: ValueFunction) -> EfficiencyReport:
     """Check v(full) against its additive-plus-interactions reconstruction.
 
     Builds the complete value table (hence value_table's n <= MAX_TABLE_PLAYERS
@@ -450,7 +450,7 @@ def efficiency_residual(game: ValueFunction, x=None) -> EfficiencyReport:
     with w(m) = (n - 1 - m) / (n (n - 1)), order_weights of c_n = 1, c_0 = -1.
     """
     n = game.n
-    table = value_table(game, x)
+    table = value_table(game)
     lhs = float(table[(1 << n) - 1])
     v_empty = float(table[0])
     independent = float(sum(table[1 << i] - v_empty for i in range(n)))
@@ -468,47 +468,40 @@ def efficiency_residual(game: ValueFunction, x=None) -> EfficiencyReport:
 
 
 class LogOddsGame(ValueFunction):
-    """Masked-input log odds of a target class under a classifier.
+    """Masked-input log odds of a target class under a classifier, on one sample.
 
-    v(S | x) = z_target - logsumexp(z_other), the log odds p/(1-p) of the
-    target class, where z is the logit vector the model produces on the
-    sample with players outside S replaced by the baseline. Each call takes
-    its sample as a (features, target) pair. The model only needs a
-    forward(X) -> (rows, classes) method.
+    v(S) = z_target - logsumexp(z_other), the log odds p/(1-p) of the target
+    class, where z is the logit vector the model produces on the sample's
+    features with players outside S replaced by the baseline. The features'
+    shape and the target's sign are checked once, here; a target beyond the
+    model's classes is refused when the logits show the class count. The
+    model only needs a forward(X) -> (rows, classes) method, and the game
+    reads it on every call, so it follows weights updated in place.
     """
 
-    def __init__(self, model, baseline: Baseline):
+    def __init__(self, model, baseline: Baseline, features, target: int):
         self.model = model
         self.baseline = baseline
         self.n = check_player_count(len(baseline))
-
-    def _checked(self, sample) -> tuple[np.ndarray, int]:
-        try:
-            features, target = sample
-        except (TypeError, ValueError):
-            raise ValidationError(
-                "sample must be a (features, target) pair") from None
-        features = np.asarray(features, dtype=float)
-        if features.shape != (self.n,):
+        self.features = np.asarray(features, dtype=float)
+        if self.features.shape != (self.n,):
             raise DimensionError(
-                f"sample has shape {features.shape}, baseline length is {self.n}")
-        target = int(target)
-        if target < 0:
-            raise DomainError(f"target class must be non-negative, got {target}")
-        return features, target
+                f"sample has shape {self.features.shape}, baseline length is {self.n}")
+        self.target = int(target)
+        if self.target < 0:
+            raise DomainError(f"target class must be non-negative, got {self.target}")
 
-    def evaluate_many(self, bits, x=None) -> np.ndarray:
-        features, target = self._checked(x)
-        rows = masked_matrix(features, bits, self.baseline)
+    def evaluate_many(self, bits) -> np.ndarray:
+        rows = masked_matrix(self.features, bits, self.baseline)
         logits = np.asarray(self.model.forward(rows), dtype=float)
         if logits.ndim != 2 or logits.shape[0] != len(rows):
             raise DimensionError(f"model returned logits of shape {logits.shape}")
         if logits.shape[1] < 2:
             raise DomainError("log odds need at least two classes")
-        if target >= logits.shape[1]:
-            raise DomainError(f"target class {target} outside [0, {logits.shape[1]})")
-        z_target = logits[:, target]
-        others = np.delete(logits, target, axis=1)
+        if self.target >= logits.shape[1]:
+            raise DomainError(f"target class {self.target} outside [0, {logits.shape[1]})")
+        z_target = logits[:, self.target]
+        others = np.delete(logits, self.target, axis=1)
         # logsumexp over the other classes, shifted by their maximum
         top = others.max(axis=1)
         return z_target - (top + np.log(np.exp(others - top[:, None]).sum(axis=1)))
@@ -550,6 +543,9 @@ def read_profile_csv(path) -> tuple[OrderProfile, dict[str, str]]:
     except (KeyError, ValueError):
         raise SchemaError(
             "profile metadata must carry integer n, pair_budget, subset_budget, seed") from None
+    if grid[0] < 0 or grid[-1] > n - 2:
+        raise SchemaError(f"profile orders must lie in [0, {n - 2}] for n={n}, "
+                          f"got {grid[0]}..{grid[-1]}")
     mean = float(np.mean(strengths))
     degenerate = not (np.isfinite(mean) and mean > 0)
     return OrderProfile(n=n, order_grid=grid, strengths=strengths, normalized=normalized,

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError, NumericError, SchemaError, ValidationError
+from .games import MAX_ARRAY_ITEMS
 from .rng import make_rng
 from .textio import open_text
 
@@ -40,6 +41,8 @@ def _checked_sizes(layer_sizes: Sequence[int]) -> tuple[int, ...]:
         raise ValidationError(f"need at least input and output layers, got {sizes}")
     if any(s < 1 for s in sizes):
         raise ValidationError(f"layer sizes must be positive, got {sizes}")
+    if any(a * b > MAX_ARRAY_ITEMS for a, b in zip(sizes, sizes[1:])):
+        raise DomainError(f"layer sizes {sizes} give weights beyond numpy's index range")
     return sizes
 
 

@@ -161,8 +161,9 @@ def train(config: TrainConfig, dataset: TabularDataset) -> tuple[MLP, TrainLog]:
     }
 
     snap_orders = config.snapshot_every > 0 and n <= MAX_TABLE_PLAYERS
-    game = LogOddsGame(model, baseline)
-    probe = [(X_val[t], int(y_val[t])) for t in range(min(PROBE_ROWS, len(X_val)))]
+    # built once: each game reads the model, whose weights the steps update in place
+    probe = [LogOddsGame(model, baseline, X_val[t], y_val[t])
+             for t in range(min(PROBE_ROWS, len(X_val)))]
 
     stats = []
     snapshots: dict[int, OrderProfile] = {}
@@ -191,7 +192,7 @@ def train(config: TrainConfig, dataset: TabularDataset) -> tuple[MLP, TrainLog]:
         if snap_orders and (epoch % config.snapshot_every == 0 or epoch == config.epochs):
             # full budgets sample at least 2^n masks, so the profile is exact
             snapshots[epoch] = order_profile(
-                game, probe, pair_budget=n * (n - 1) // 2,
+                probe, pair_budget=n * (n - 1) // 2,
                 subset_budget=comb(n - 2, (n - 2) // 2),
                 seed=child_seed(config.seed, _PROFILE_STREAM, epoch))
     return model, TrainLog(tuple(stats), snapshots)

@@ -405,6 +405,14 @@ def _huge_layer_sizes(workdir, tmp_path):
             "--out", str(tmp_path / "p.csv")]
 
 
+def _far_order_profile(tmp_path):
+    """A profile of n=6 whose last row has order 40, far outside [0, 4]."""
+    path = tmp_path / "far.csv"
+    path.write_text("# n=6 pair_budget=15 subset_budget=6 seed=0\n"
+                    "m,strength,normalized\n0,1.0,0.5\n40,3.0,1.5\n", encoding="utf-8")
+    return str(path)
+
+
 def _analyze(*flags):
     def argv(workdir, tmp_path):
         return ["analyze", "--model", str(workdir / "run" / "model.json"),
@@ -463,6 +471,9 @@ def _analyze(*flags):
     pytest.param(lambda w, t: ["theory", "--n", "6", "--out", str(t / "c.csv"),
                                "--fit", _not_utf8(t, "f.csv")], id="fit-profile-not-utf8"),
     pytest.param(_huge_layer_sizes, id="huge-layer-sizes"),
+    pytest.param(lambda w, t: ["theory", "--n", "6", "--out", str(t / "c.csv"),
+                               "--fit", _far_order_profile(t)],
+                 id="fit-profile-order-out-of-range"),
 ])
 def test_malformed_input_is_one_error_line(argv, workdir, tmp_path, capsys, monkeypatch):
     args = argv(workdir, tmp_path)
@@ -488,6 +499,32 @@ def test_unallocatable_size_is_one_error_line(overrides, workdir, tmp_path, caps
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: validation: Unable to allocate")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(_train({"hidden_sizes": [10**30]}), id="hidden-size-beyond-index-range"),
+    pytest.param(_train({"terms": [{"kind": "suppress", "r1": 0.7, "r2": 1.0, "lambda": 1.0,
+                                    "pair_samples": 10**30}]}),
+                 id="pair-samples-beyond-index-range"),
+    pytest.param(lambda w, t: ["analyze", *_wide_model(t, 21), "--rows", "1",
+                               "--samples", str(10**30), "--out", str(t / "p.csv")],
+                 id="analyze-samples-beyond-index-range"),
+])
+def test_size_beyond_numpy_index_range_is_one_error_line(argv, workdir, tmp_path, capsys):
+    # numpy cannot even index arrays this large, so the size is refused where it enters
+    code = main(argv(workdir, tmp_path))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: validation: ")
+    assert "Traceback" not in err
+
+
+def test_failing_fit_writes_no_curve(workdir, tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    assert main(["theory", "--n", "6", "--out", str(out),
+                 "--fit", _far_order_profile(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: validation: ")
+    assert not out.exists()
 
 
 def _must_not_run(name):

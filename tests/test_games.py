@@ -118,13 +118,13 @@ def test_sample_subsets_equals_sample_subset_loop(n):
 
 
 def test_terms_are_sorted_index_tuples():
-    spec = SyntheticGame(kind="random_polynomial", n=5,
+    spec = SyntheticGame(n=5,
                          terms=((frozenset({3, 1}), 1.0), ([4, 0, 4], 2.0), ((), 0.5)))
     assert spec.terms == (((1, 3), 1.0), ((0, 4), 2.0), ((), 0.5))
     drawn = SyntheticGame.random_polynomial(6, degree=3, num_terms=10, seed=5)
     assert all(list(c) == sorted(set(c)) for c, _ in drawn.terms)
     with pytest.raises(ValidationError):
-        SyntheticGame(kind="random_polynomial", n=4, terms=(((0, 1), 1.0), ((1, 0), 2.0)))
+        SyntheticGame(n=4, terms=(((0, 1), 1.0), ((1, 0), 2.0)))
 
 
 def test_additive_game_values():
@@ -158,7 +158,7 @@ def test_evaluate_many_matches_evaluate():
 
 
 def test_evaluate_many_reaches_player_63():
-    spec = SyntheticGame(kind="random_polynomial", n=64,
+    spec = SyntheticGame(n=64,
                          terms=((frozenset({63}), 2.0), (frozenset({0, 63}), 0.5)))
     game = synthetic_game(spec)
     bits = np.array([0, 1, TOP, TOP | 1, 2**64 - 1], dtype=np.uint64)

@@ -11,6 +11,7 @@ from interaction_lab import (
     MLP,
     Baseline,
     DimensionError,
+    DomainError,
     GuardError,
     LogOddsGame,
     SyntheticGame,
@@ -125,7 +126,7 @@ def test_efficiency_guard():
 
 def test_single_order_profile_additive_is_zero():
     game = synthetic_game(SyntheticGame.additive([1.0, 2.0, 3.0, 4.0, 5.0]))
-    profile = order_profile(game, [None], [1], pair_budget=10, subset_budget=3, seed=0)
+    profile = order_profile([game], [1], pair_budget=10, subset_budget=3, seed=0)
     assert profile.strengths == (0.0,)
 
 
@@ -138,7 +139,7 @@ def test_default_order_grid_small_and_large():
 
 
 def test_order_profile_normalization(poly_game):
-    profile = order_profile(poly_game, [None], pair_budget=10, subset_budget=8, seed=5)
+    profile = order_profile([poly_game], pair_budget=10, subset_budget=8, seed=5)
     assert profile.n == 8
     assert profile.order_grid == tuple(range(7))
     assert np.mean(profile.normalized) == pytest.approx(1.0)
@@ -148,34 +149,78 @@ def test_order_profile_normalization(poly_game):
 def test_order_profile_rejects_empty_budgets(poly_game):
     for budgets in (dict(pair_budget=5, subset_budget=0), dict(pair_budget=0, subset_budget=5)):
         with pytest.raises(ValidationError):
-            order_profile(poly_game, [None], **budgets, seed=0)
+            order_profile([poly_game], **budgets, seed=0)
 
 
 def test_profile_reads_tables_where_they_cost_fewer_masks(poly_game):
-    full = order_profile(poly_game, [None], pair_budget=28, subset_budget=20, seed=0)
+    full = order_profile([poly_game], pair_budget=28, subset_budget=20, seed=0)
     # 4 * 10 pairs * (1 + 6 + 8 * 3 + 6 + 1) contexts = 1520 masks >= 2^8: the table path
-    table = order_profile(poly_game, [None], pair_budget=10, subset_budget=8, seed=9)
+    table = order_profile([poly_game], pair_budget=10, subset_budget=8, seed=9)
     assert table.strengths == full.strengths
     assert (table.pair_budget, table.subset_budget) == (28, comb(6, 3))
     # 4 * 3 pairs * (1 + 2 * 5 + 1) contexts = 144 masks < 2^8: the sampled path
-    tiny = order_profile(poly_game, [None], pair_budget=3, subset_budget=2, seed=9)
+    tiny = order_profile([poly_game], pair_budget=3, subset_budget=2, seed=9)
     assert (tiny.pair_budget, tiny.subset_budget) == (3, 2)
 
 
 def test_profile_budgets_matter_above_the_table_guard():
     # at n = 17 both budgets sample far fewer masks than a 2^17 value table
     game = synthetic_game(SyntheticGame.random_polynomial(17, degree=6, num_terms=40, seed=2))
-    tiny = order_profile(game, [None], [3, 8], pair_budget=3, subset_budget=2, seed=0)
-    larger = order_profile(game, [None], [3, 8], pair_budget=12, subset_budget=16, seed=0)
+    tiny = order_profile([game], [3, 8], pair_budget=3, subset_budget=2, seed=0)
+    larger = order_profile([game], [3, 8], pair_budget=12, subset_budget=16, seed=0)
     assert tiny.strengths != larger.strengths
     assert (tiny.pair_budget, tiny.subset_budget) == (3, 2)
 
 
 def test_order_profile_degenerate_on_additive():
     game = synthetic_game(SyntheticGame.additive([1.0] * 6))
-    profile = order_profile(game, [None], pair_budget=5, subset_budget=4, seed=1)
+    profile = order_profile([game], pair_budget=5, subset_budget=4, seed=1)
     assert profile.degenerate
     assert all(v == 0.0 for v in profile.normalized)
+
+
+def test_order_profile_rejects_games_of_different_sizes(poly_game):
+    other = synthetic_game(SyntheticGame.random_polynomial(7, degree=5, num_terms=14, seed=3))
+    with pytest.raises(DimensionError):
+        order_profile([poly_game, other], pair_budget=5, subset_budget=4, seed=0)
+    with pytest.raises(ValidationError):
+        order_profile([], pair_budget=5, subset_budget=4, seed=0)
+
+
+class _FixedLogits:
+    """A stand-in model whose forward returns the given logits whatever the rows."""
+
+    def __init__(self, logits):
+        self.logits = np.asarray(logits, dtype=float)
+
+    def forward(self, rows):
+        return self.logits
+
+
+def test_log_odds_game_checks_its_sample_once_at_construction():
+    model, baseline = MLP([4, 6, 3], seed=0), Baseline.zeros(4)
+    with pytest.raises(DimensionError):
+        LogOddsGame(model, baseline, np.ones(5), 0)
+    with pytest.raises(DimensionError):
+        LogOddsGame(model, baseline, np.ones((1, 4)), 0)
+    with pytest.raises(DomainError):
+        LogOddsGame(model, baseline, np.ones(4), -1)
+    game = LogOddsGame(model, baseline, np.ones(4), 2)
+    assert game.evaluate_many([0b1111]).shape == (1,)
+
+
+def test_log_odds_game_checks_the_logits_on_evaluation():
+    # three classes: target 3 is only known to be out of range once logits show it
+    game = LogOddsGame(MLP([4, 6, 3], seed=0), Baseline.zeros(4), np.ones(4), 3)
+    with pytest.raises(DomainError):
+        game.evaluate_many([0b0011])
+    for logits in ([1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]], [[[1.0, 2.0]]]):
+        game = LogOddsGame(_FixedLogits(logits), Baseline.zeros(4), np.ones(4), 0)
+        with pytest.raises(DimensionError):
+            game.evaluate_many([0b0011])
+    one_class = LogOddsGame(_FixedLogits([[1.0]]), Baseline.zeros(4), np.ones(4), 0)
+    with pytest.raises(DomainError):
+        one_class.evaluate_many([0b0011])
 
 
 def test_model_profile_is_rerun_identical():
@@ -184,24 +229,24 @@ def test_model_profile_is_rerun_identical():
     # n=10 reads a value table; n=17 sends each order's pairs through one
     # chunked evaluate pass.
     for n in (10, 17):
-        game = LogOddsGame(MLP([n, 32, 32, 2], seed=7), Baseline.zeros(n))
-        sample = (np.random.default_rng(3).normal(size=n), 1)
+        game = LogOddsGame(MLP([n, 32, 32, 2], seed=7), Baseline.zeros(n),
+                           np.random.default_rng(3).normal(size=n), 1)
         # at n=17: 30 pairs; 16 contexts enumerate the outermost orders and sample the rest
         kwargs = dict(pair_budget=30, subset_budget=16, seed=11)
-        reruns = [order_profile(game, [sample], **kwargs).strengths for _ in range(3)]
-        first = order_profile(game, [sample], **kwargs).strengths
+        reruns = [order_profile([game], **kwargs).strengths for _ in range(3)]
+        first = order_profile([game], **kwargs).strengths
         assert all(s == first for s in reruns)
 
 
-def _reference_strengths(game, samples, grid, pair_budget, subset_budget, seed):
+def _reference_strengths(games, grid, pair_budget, subset_budget, seed):
     """Mean |interaction_order_mc| over each sample's pair grid, averaged over samples."""
-    n = game.n
+    n = games[0].n
     per_sample = []
-    for t, sample in enumerate(samples):
+    for t, game in enumerate(games):
         sample_seed = child_seed(seed, _SAMPLE_STREAM, t)
         per_sample.append([np.mean([
             abs(interaction_order_mc(game, i, j, m, min(subset_budget, comb(n - 2, m)),
-                                     sample_seed, x=sample).value)
+                                     sample_seed).value)
             for i, j in _pair_grid(n, pair_budget, sample_seed, m)]) for m in grid])
     return np.array(per_sample).mean(axis=0).tolist()
 
@@ -218,16 +263,17 @@ def _reference_strengths(game, samples, grid, pair_budget, subset_budget, seed):
 def test_sampled_profile_matches_the_pairwise_estimator(n, grid, pair_budget, group_masks,
                                                         monkeypatch):
     monkeypatch.setattr(interactions, "_GROUP_MASKS", group_masks)
-    samples_by_game = [
-        (synthetic_game(SyntheticGame.random_polynomial(n, degree=7, num_terms=40, seed=n)),
-         [None, None], 0),
-        (LogOddsGame(MLP([n, 24, 24, 3], seed=n), Baseline.zeros(n)),
-         [(np.random.default_rng(t).normal(size=n), t) for t in range(2)], 1e-12),
+    poly = synthetic_game(SyntheticGame.random_polynomial(n, degree=7, num_terms=40, seed=n))
+    model = MLP([n, 24, 24, 3], seed=n)
+    games_by_kind = [
+        ([poly, poly], 0),
+        ([LogOddsGame(model, Baseline.zeros(n), np.random.default_rng(t).normal(size=n), t)
+          for t in range(2)], 1e-12),
     ]
-    for game, samples, rel in samples_by_game:
-        profile = order_profile(game, samples, grid, pair_budget=pair_budget,
+    for games, rel in games_by_kind:
+        profile = order_profile(games, grid, pair_budget=pair_budget,
                                 subset_budget=16, seed=5)
-        expected = _reference_strengths(game, samples, profile.order_grid, pair_budget, 16, 5)
+        expected = _reference_strengths(games, profile.order_grid, pair_budget, 16, 5)
         if rel:
             assert profile.strengths == pytest.approx(expected, rel=rel, abs=0)
         else:
@@ -238,21 +284,21 @@ def test_sampled_profile_bounds_each_evaluate_call(monkeypatch):
     sizes = []
     real_evaluate = interactions.evaluate
 
-    def recording_evaluate(game, bits, x=None):
+    def recording_evaluate(game, bits):
         sizes.append(len(bits))
-        return real_evaluate(game, bits, x)
+        return real_evaluate(game, bits)
 
     monkeypatch.setattr(interactions, "evaluate", recording_evaluate)
     game = synthetic_game(SyntheticGame.random_polynomial(24, degree=4, num_terms=10, seed=1))
     # 65536 // (4 * 48) = 341 pairs fit in one call, so all 276 pairs go together
-    order_profile(game, [None], [5], pair_budget=276, subset_budget=48, seed=0)
+    order_profile([game], [5], pair_budget=276, subset_budget=48, seed=0)
     assert sizes == [276 * 4 * 48]
     sizes.clear()
     # 4 * 20000 masks per pair: one pair per call, as many masks as one pair needs
-    order_profile(game, [None], [5], pair_budget=3, subset_budget=20000, seed=0)
+    order_profile([game], [5], pair_budget=3, subset_budget=20000, seed=0)
     assert sizes == [80000] * 3
     sizes.clear()
-    order_profile(game, [None], [5], pair_budget=276, subset_budget=100, seed=0)
+    order_profile([game], [5], pair_budget=276, subset_budget=100, seed=0)
     assert max(sizes) <= 65536 and sum(sizes) == 276 * 400
 
 
@@ -263,9 +309,9 @@ class _RecordingGame(ValueFunction):
         self.game, self.n, self.sizes = game, game.n, []
         self.drop = drop_from_short_calls
 
-    def evaluate_many(self, bits, x=None):
+    def evaluate_many(self, bits):
         self.sizes.append(len(bits))
-        values = self.game.evaluate_many(bits, x)
+        values = self.game.evaluate_many(bits)
         return values[1:] if self.drop and len(bits) < interactions.EVAL_CHUNK else values
 
 
@@ -300,20 +346,19 @@ def test_table_profile_matches_enumeration(n):
     # every order is read from the value table's bincounts
     if n == 8:
         game = synthetic_game(SyntheticGame.random_polynomial(n, degree=6, num_terms=20, seed=4))
-        sample = None
     else:
-        game = LogOddsGame(MLP([n, 24, 24, 3], seed=5), Baseline.zeros(n))
-        sample = (np.random.default_rng(8).normal(size=n), 2)
+        game = LogOddsGame(MLP([n, 24, 24, 3], seed=5), Baseline.zeros(n),
+                           np.random.default_rng(8).normal(size=n), 2)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    profile = order_profile(game, [sample], pair_budget=len(pairs),
+    profile = order_profile([game], pair_budget=len(pairs),
                             subset_budget=comb(n - 2, (n - 2) // 2), seed=0)
-    expected = [np.mean([abs(interaction_order_exact(game, i, j, m, x=sample).value)
+    expected = [np.mean([abs(interaction_order_exact(game, i, j, m).value)
                          for i, j in pairs]) for m in range(n - 1)]
     assert profile.strengths == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_profile_csv_round_trip(tmp_path, poly_game):
-    profile = order_profile(poly_game, [None], pair_budget=6, subset_budget=5, seed=2)
+    profile = order_profile([poly_game], pair_budget=6, subset_budget=5, seed=2)
     path = tmp_path / "profile.csv"
     write_profile_csv(path, profile, {"config_sha256": "aa", "seed": 2})
     back, meta = read_profile_csv(path)
@@ -331,16 +376,15 @@ def test_profile_csv_round_trip(tmp_path, poly_game):
 def test_pair_order_table_matches_enumeration(n, kind):
     if kind == "polynomial":
         game = synthetic_game(SyntheticGame.random_polynomial(n, degree=7, num_terms=60, seed=n))
-        sample = None
     else:
-        game = LogOddsGame(MLP([n, 24, 24, 3], seed=n), Baseline.zeros(n))
-        sample = (np.random.default_rng(n).normal(size=n), 1)
-    table = interactions.pair_order_table(interactions.value_table(game, sample), n)
+        game = LogOddsGame(MLP([n, 24, 24, 3], seed=n), Baseline.zeros(n),
+                           np.random.default_rng(n).normal(size=n), 1)
+    table = interactions.pair_order_table(interactions.value_table(game), n)
     pairs = list(itertools.combinations(range(n), 2))
     assert table.shape == (len(pairs), n - 1)
     for i, j in [(0, 1), (3, n // 2 + 1), (n - 2, n - 1)]:
         row = table[pairs.index((i, j))]
-        expected = [interaction_order_exact(game, i, j, m, x=sample).value for m in range(n - 1)]
+        expected = [interaction_order_exact(game, i, j, m).value for m in range(n - 1)]
         assert np.max(np.abs(row)) > 0
         assert np.max(np.abs(row - expected)) <= 1e-12 * np.max(np.abs(row))
 
@@ -366,12 +410,12 @@ def test_profile_path_follows_the_mask_count_rule(request):
     sampled_masks = sum(4 * min(pair_budget, all_pairs) * min(subset_budget, comb(n - 2, m))
                         for m in grid)
     with mock.patch.object(interactions, "evaluate", wraps=interactions.evaluate) as spy:
-        profile = order_profile(game, [None], grid, pair_budget=pair_budget,
+        profile = order_profile([game], grid, pair_budget=pair_budget,
                                 subset_budget=subset_budget, seed=3)
     # whichever path runs, it is the one that evaluates fewer masks
     assert sum(len(call.args[1]) for call in spy.call_args_list) == min(1 << n, sampled_masks)
     if 1 << n <= sampled_masks:
-        full = order_profile(game, [None], pair_budget=all_pairs, subset_budget=widest, seed=0)
+        full = order_profile([game], pair_budget=all_pairs, subset_budget=widest, seed=0)
         assert list(profile.strengths) == [full.strengths[m] for m in grid]
         assert (profile.pair_budget, profile.subset_budget) == (all_pairs, widest)
     else:

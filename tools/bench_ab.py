@@ -22,7 +22,8 @@ wins out of N pairs (ties count for neither side), whether the gap between
 the medians exceeds the parent's interquartile range, and whether the
 change is worse than the parent's median by more than the metric's bound,
 taken relative to the parent's median. The machine's CPU count, the numpy
-version and its BLAS head the report.
+version and its BLAS head the report, next to each side's `src/` size as
+`wc -l src/interaction_lab/*.py` counts it.
 """
 from __future__ import annotations
 
@@ -60,6 +61,12 @@ def machine() -> str:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return (f"cpus={os.cpu_count()} usable={len(os.sched_getaffinity(0))} "
             f"numpy={np.__version__} blas={blas.get('name')} {blas.get('version')}")
+
+
+def src_lines(checkout: Path) -> int:
+    """Newlines in the checkout's src/interaction_lab/*.py, the total of wc -l."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "interaction_lab").glob("*.py"))
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -100,7 +107,7 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     metrics = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]
 
-    print(machine())
+    print(machine(), *(f"src_lines_{side}={src_lines(checkouts[side])}" for side in SIDES))
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     problems = []
     for i in range(args.pairs):
