@@ -20,25 +20,27 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import dataclasses
 import functools
 import hashlib
 import json
 import sys
+from numbers import Real
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from .attack import AttackConfig, adversarial_accuracy
-from .datasets import resolve_dataset
-from .errors import (NumericError, SchemaError, ValidationError, VerificationError)
+from .datasets import apply_standardization, resolve_dataset
+from .errors import NumericError, SchemaError, ValidationError, VerificationError, require
 from .games import Baseline, SyntheticGame, compute_baseline, synthetic_game
 from .interactions import (MAX_TABLE_PLAYERS, LogOddsGame, efficiency_residual,
                            order_profile, read_profile_csv, write_profile_csv)
 from .mlp import MLP, accuracy, load_model, save_model
 from .modulation import ModulationSpec, verify_theorem2
 from .rng import child_seed
-from .textio import open_text
+from .textio import read_json_object
 from .theory import (GradSimConfig, fit_effective_n, learning_strength_hat,
                      predicted_update_norm, simulate_curve, theory_curve, write_theory_csv)
 from .training import (TrainConfig, VARIANT_TERMS, train, write_snapshots,
@@ -48,9 +50,7 @@ _EFFICIENCY_THRESHOLD = 1e-9
 _THEOREM2_THRESHOLD = 1e-8
 _GRADSIM_TOLERANCE = 0.03
 
-_TRAIN_KEYS = {"epochs", "batch_size", "learning_rate", "seed", "hidden_sizes",
-               "snapshot_every", "val_fraction", "terms",
-               "variant", "label_column"}
+_TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)} | {"variant", "label_column"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,7 +61,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _config_hash(resolved: dict) -> str:
-    canon = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
+    # a train stamp holds its terms, which enter under their JSON keys
+    canon = json.dumps(resolved, sort_keys=True, separators=(",", ":"),
+                       default=ModulationSpec.to_json_dict)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
@@ -74,8 +76,12 @@ def _file_sha256(path) -> str:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
-def _write_json(path, obj: dict) -> None:
-    Path(path).write_text(json.dumps(obj, sort_keys=True) + "\n", encoding="utf-8", newline="")
+def _report(result: dict, out) -> None:
+    """Print the result as one JSON line, and write the same line to out when given."""
+    line = json.dumps(result, sort_keys=True) + "\n"
+    sys.stdout.write(line)
+    if out:
+        Path(out).write_text(line, encoding="utf-8", newline="")
 
 
 def _seed(text: str) -> int:
@@ -106,10 +112,6 @@ def _out_dir(text: str) -> str:
     if not existing.is_dir():
         raise argparse.ArgumentTypeError(f"{existing} exists and is not a directory")
     return text
-
-
-def _print_json(obj: dict) -> None:
-    print(json.dumps(obj, sort_keys=True))
 
 
 # ---------------------------------------------------------------- verify
@@ -188,23 +190,35 @@ def _parse_orders(text: str, n: int) -> tuple[int, ...] | None:
     return grid
 
 
+def _meta_vector(meta: dict, key: str) -> np.ndarray:
+    """The model meta's list under key, checked to hold finite numbers only."""
+    values = meta[key]
+    if not isinstance(values, list):
+        raise SchemaError(f"model meta {key!r} must be a list, got {values!r}")
+    for value in values:
+        require(f"model meta {key!r} entry", value, Real)
+    return np.array(values, dtype=float)
+
+
 def _model_input_space(model: MLP, dataset):
     """Features in the space the model was trained in, plus its baseline."""
     meta = model.meta or {}
     names = meta.get("feature_names")
-    if names is not None and list(dataset.feature_names) != list(names):
+    if names is not None and not isinstance(names, list):
+        raise SchemaError(f"model meta 'feature_names' must be a list, got {names!r}")
+    if names is not None and list(dataset.feature_names) != names:
         raise ValidationError(
             f"dataset columns {list(dataset.feature_names)} do not match the "
-            f"model's training columns {list(names)}")
+            f"model's training columns {names}")
     if model.num_features != dataset.num_features:
         raise ValidationError(
             f"model expects {model.num_features} features, dataset has "
             f"{dataset.num_features}")
     if "feature_mean" in meta and "feature_std" in meta:
-        mean = np.asarray(meta["feature_mean"], dtype=float)
-        std = np.asarray(meta["feature_std"], dtype=float)
-        features = (dataset.features - mean) / std
-        return features, Baseline.zeros(dataset.num_features)
+        # apply_standardization checks both lengths and that every scale is positive
+        scaled = apply_standardization(dataset, _meta_vector(meta, "feature_mean"),
+                                       _meta_vector(meta, "feature_std"))
+        return scaled.features, Baseline.zeros(dataset.num_features)
     # unscaled model: mask toward the column means of this dataset
     return dataset.features, compute_baseline(dataset.features)
 
@@ -257,22 +271,14 @@ def _cmd_theory(args) -> int:
     if fit:
         result = {"n_prime": fit.n_prime, "mismatch": fit.mismatch,
                   "config_sha256": digest, "seed": args.seed}
-        _print_json(result)
-        if args.fit_out:
-            _write_json(args.fit_out, result)
+        _report(result, args.fit_out)
     return 0
 
 
 # ---------------------------------------------------------------- train
 
 def _load_train_config(path, seed_override: int | None) -> tuple[TrainConfig, str, dict]:
-    try:
-        with open_text(path, "config") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise SchemaError(f"config {path} must hold a JSON object")
+    raw = read_json_object(path, "config")
     unknown = sorted(set(raw) - _TRAIN_KEYS)
     if unknown:
         raise SchemaError(f"config {path} has unknown keys {unknown}; "
@@ -283,7 +289,7 @@ def _load_train_config(path, seed_override: int | None) -> tuple[TrainConfig, st
     label_column = raw.pop("label_column", "label")
     variant = raw.pop("variant", None)
     if variant is not None:
-        if variant not in VARIANT_TERMS:
+        if not isinstance(variant, str) or variant not in VARIANT_TERMS:
             raise SchemaError(f"unknown variant {variant!r}; "
                               f"choose from {sorted(VARIANT_TERMS)}")
         terms = VARIANT_TERMS[variant]
@@ -298,15 +304,8 @@ def _load_train_config(path, seed_override: int | None) -> tuple[TrainConfig, st
         config = TrainConfig(terms=terms, **raw)
     except TypeError as exc:
         raise SchemaError(f"config {path}: {exc}") from exc
-    resolved = {
-        "command": "train", "label_column": label_column,
-        "variant": variant, "epochs": config.epochs, "batch_size": config.batch_size,
-        "learning_rate": config.learning_rate, "seed": config.seed,
-        "hidden_sizes": list(config.hidden_sizes),
-        "snapshot_every": config.snapshot_every,
-        "val_fraction": config.val_fraction,
-        "terms": [term.to_json_dict() for term in config.terms],
-    }
+    resolved = {"command": "train", "label_column": label_column, "variant": variant,
+                **{f.name: getattr(config, f.name) for f in dataclasses.fields(config)}}
     return config, label_column, resolved
 
 
@@ -315,7 +314,7 @@ def _cmd_train(args) -> int:
     resolved["data"] = str(args.data)
     dataset = resolve_dataset(args.data, label_column)
     model, log = train(config, dataset)
-    if config.snapshot_every > 0 and dataset.num_features > MAX_TABLE_PLAYERS:
+    if config.snapshot_every > 0 and not log.snapshots:
         print(f"warning: snapshots need n <= {MAX_TABLE_PLAYERS}, got n="
               f"{dataset.num_features}; none were taken", file=sys.stderr)
     digest = _config_hash(resolved)
@@ -351,15 +350,15 @@ def _cmd_attack(args) -> int:
               "rows": dataset.num_rows, "epsilon": args.eps, "steps": args.steps,
               "step_size": args.step_size,
               "config_sha256": _config_hash(resolved), "seed": args.seed}
-    _print_json(result)
-    if args.out:
-        _write_json(args.out, result)
+    _report(result, args.out)
     return 0
 
 
 # ---------------------------------------------------------------- wiring
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="interaction-lab",
                      description="Game-theoretic interaction analysis toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -17,14 +17,13 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from math import floor, isfinite
-from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 
 from .errors import DomainError, SchemaError, ValidationError
 from .rng import make_rng
-from .textio import format_float, meta_comment, open_text
+from .textio import format_float, open_text, write_csv
 
 BUNDLED_TASKS = ("pairs", "conjunction")
 _BUNDLED_PREFIX = "bundled:"
@@ -157,15 +156,9 @@ def load_dataset_csv(path, label_column: str) -> TabularDataset:
 
 def write_dataset_csv(path, dataset: TabularDataset, meta=None) -> None:
     """Write a dataset the loader reads back identically; bytes are stable."""
-    lines = []
-    if meta:
-        lines.append(meta_comment(meta))
-    lines.append(",".join([*dataset.feature_names, dataset.label_name]))
-    for row, label in zip(dataset.features, dataset.labels):
-        cells = [format_float(v) for v in row]
-        cells.append(dataset.label_values[label])
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    rows = [[*map(format_float, row), dataset.label_values[label]]
+            for row, label in zip(dataset.features, dataset.labels)]
+    write_csv(path, ",".join([*dataset.feature_names, dataset.label_name]), rows, meta)
 
 
 def standardize(dataset: TabularDataset) -> tuple[TabularDataset, np.ndarray, np.ndarray]:

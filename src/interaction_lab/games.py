@@ -146,16 +146,15 @@ class SyntheticGame:
     def __post_init__(self):
         self.terms = tuple((tuple(sorted({int(k) for k in coalition})), coeff)
                            for coalition, coeff in self.terms)
-        seen = set()
-        for coalition, coeff in self.terms:
-            if coalition in seen:
-                raise ValidationError("term coalitions must be distinct")
-            seen.add(coalition)
-            if not np.isfinite(coeff):
-                raise ValidationError("term coefficients must be finite")
-            for k in coalition:
-                if not (0 <= k < self.n):
-                    raise ValidationError(f"term index {k} outside [0, {self.n})")
+        coalitions = [coalition for coalition, _ in self.terms]
+        if len(set(coalitions)) != len(coalitions):
+            raise ValidationError("term coalitions must be distinct")
+        if not np.isfinite(np.array([coeff for _, coeff in self.terms], dtype=float)).all():
+            raise ValidationError("term coefficients must be finite")
+        for coalition in coalitions:
+            # sorted, so its ends are its extreme indices
+            if coalition and not (0 <= coalition[0] and coalition[-1] < self.n):
+                raise ValidationError(f"term coalition {coalition} leaves [0, {self.n})")
 
     @classmethod
     def additive(cls, coefficients: Sequence[float]) -> "SyntheticGame":

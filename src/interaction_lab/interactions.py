@@ -235,16 +235,6 @@ def pair_order_table(table: np.ndarray, n: int) -> np.ndarray:
     return np.array(rows)
 
 
-def ordered_row_sum(rows: np.ndarray) -> np.ndarray:
-    """Sum of the rows added one after another to zeros, as a loop over them would.
-
-    np.add.accumulate is sequential by definition, where sum(axis=0) may
-    sum pairwise; the zero row in front keeps a loop's signed zeros.
-    """
-    rows = np.concatenate([np.zeros((1,) + rows.shape[1:]), rows])
-    return np.add.accumulate(rows, axis=0)[-1]
-
-
 def enumerated_contexts(n: int, i: int, j: int, m: int) -> np.ndarray:
     """Every size-m context of the pair as uint64 masks, in itertools.combinations order."""
     lo, hi = _check_pair(n, i, j)
@@ -457,7 +447,9 @@ def efficiency_residual(game: ValueFunction) -> EfficiencyReport:
 
     weights = order_weights(n, {n: 1.0, 0: -1.0})
     # ordered pairs: (i, j) and (j, i) contribute the same interaction
-    per_order = ordered_row_sum(2.0 * weights * pair_order_table(table, n))
+    per_order = np.zeros(n - 1)
+    for row in pair_order_table(table, n):
+        per_order += 2.0 * weights * row
 
     reconstruction = v_empty + independent + float(per_order.sum())
     residual = abs(lhs - reconstruction)

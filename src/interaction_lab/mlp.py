@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DimensionError, DomainError, NumericError, SchemaError, ValidationError
 from .games import MAX_ARRAY_ITEMS
 from .rng import make_rng
-from .textio import open_text
+from .textio import read_json_object
 
 MODEL_FORMAT_VERSION = 1
 
@@ -249,13 +249,7 @@ def save_model(path, model: MLP, meta=None) -> None:
 
 
 def load_model(path) -> MLP:
-    try:
-        with open_text(path, "model") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"model file is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise SchemaError("model file must hold a JSON object")
+    obj = read_json_object(path, "model")
     version = obj.get("version")
     if version != MODEL_FORMAT_VERSION:
         raise SchemaError(

@@ -38,15 +38,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import floor
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ValidationError
-from .games import Baseline, masked_matrix, sample_subsets
-from .interactions import (order_weights, ordered_row_sum, pair_order_table, size_means,
-                           value_table)
+from .errors import DomainError, NumericError, ValidationError, require
+from .games import Baseline, check_player_count, masked_matrix, sample_subsets
+from .interactions import order_weights, pair_order_table, size_means, value_table
 from .mlp import (MLP, ParamGrads, _checked_cross_entropy, ce_value_and_grad, cross_entropy,
                   cross_entropy_grad, log_softmax)
 from .rng import child_seed, make_rng
@@ -84,6 +83,8 @@ class ModulationSpec:
     lam is the term's weight in the combined objective. pair_samples is the
     number of (S1, S2) draws per input per step; the draws come from a
     stream derived from the step's seed, so each step samples new pairs.
+    r1, r2 and lam are numbers, stored as floats, and pair_samples is an
+    integer; errors name each field by its JSON key.
     """
 
     kind: str
@@ -95,14 +96,15 @@ class ModulationSpec:
     def __post_init__(self):
         if self.kind not in ("encourage", "suppress"):
             raise ValidationError(f"kind must be encourage or suppress, got {self.kind!r}")
+        for name, key in (("r1", "r1"), ("r2", "r2"), ("lam", "lambda")):
+            require(key, getattr(self, name), Real)
+            object.__setattr__(self, name, float(getattr(self, name)))
+        require("pair_samples", self.pair_samples, Integral)
         if not (0 <= self.r1 < self.r2 <= 1):
             raise ValidationError(
                 f"fractions must satisfy 0 <= r1 < r2 <= 1, got ({self.r1}, {self.r2})")
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ValidationError(f"lambda must be finite and >= 0, got {self.lam}")
-        # bool is an Integral too, but a flag is never a count
-        if isinstance(self.pair_samples, bool) or not isinstance(self.pair_samples, Integral):
-            raise ValidationError(f"pair_samples must be an integer, got {self.pair_samples!r}")
+        if self.lam < 0:
+            raise ValidationError(f"lambda must be >= 0, got {self.lam}")
         if self.pair_samples < 1:
             raise ValidationError(f"pair_samples must be positive, got {self.pair_samples}")
 
@@ -114,18 +116,13 @@ class ModulationSpec:
     def from_json_dict(cls, obj: dict) -> "ModulationSpec":
         if not isinstance(obj, dict):
             raise ValidationError("modulation term must be a JSON object")
-        known = {"kind", "r1", "r2", "lambda", "pair_samples"}
-        unknown = set(obj) - known
+        unknown = set(obj) - {"kind", "r1", "r2", "lambda", "pair_samples"}
         if unknown:
             raise ValidationError(f"unknown modulation keys: {sorted(unknown)}")
         for key in ("kind", "r1", "r2", "lambda"):
             if key not in obj:
                 raise ValidationError(f"modulation term is missing {key!r}")
-        try:
-            r1, r2, lam = float(obj["r1"]), float(obj["r2"]), float(obj["lambda"])
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"modulation term has a non-numeric field: {exc}") from None
-        return cls(kind=obj["kind"], r1=r1, r2=r2, lam=lam,
+        return cls(kind=obj["kind"], r1=obj["r1"], r2=obj["r2"], lam=obj["lambda"],
                    pair_samples=obj.get("pair_samples", 4))
 
 
@@ -150,7 +147,7 @@ def _band_stack(spec: ModulationSpec, X: np.ndarray, baseline: Baseline,
     [2Pb, 2P(b+1)): its P inner masks, then its P outer ones. For each row
     the same drawn pairs serve every class.
     """
-    n = len(baseline)
+    n = check_player_count(len(baseline))
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != n:
         raise DomainError(f"batch must have shape (rows, {n}), got {X.shape}")
@@ -267,7 +264,7 @@ def verify_theorem2(n: int, r1: float, r2: float, num_games: int, seed: int) -> 
         table = value_table(synthetic_game(spec))
         measured = _exact_delta_u(table, n, s1, s2)
         # ordered pairs: (i, j) and (j, i) carry the same interaction
-        pair_sums = 2.0 * ordered_row_sum(pair_order_table(table, n))
+        pair_sums = 2.0 * sum(pair_order_table(table, n))
         recon = (1.0 - ratio) * float(table[0]) + float(weights @ pair_sums)
         worst = max(worst, abs(measured - recon))
     return worst

@@ -1,13 +1,16 @@
-"""Byte-stable CSV helpers shared by the result writers.
+"""Text file formats: byte-stable CSV files and JSON object files.
 
-Files are plain comma-separated text with an optional single leading comment
+CSV files are plain comma-separated text with an optional single leading comment
 line (``# key=value key=value``) carrying provenance such as the config hash
 and seed. Floats are rendered with 17 significant digits so that float64
 values survive a write/read round trip bit for bit, and lines always end in
 "\\n" regardless of platform, so identical results produce identical bytes.
+write_csv writes every CSV file and read_json_object reads every JSON input
+(train configs, model files); all text is UTF-8, whatever the locale.
 """
 from __future__ import annotations
 
+import json
 import re
 from contextlib import contextmanager
 from pathlib import Path
@@ -22,7 +25,7 @@ def format_float(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def meta_comment(meta: Mapping[str, object]) -> str:
+def _meta_comment(meta: Mapping[str, object]) -> str:
     parts = []
     for key, value in meta.items():
         text = str(value)
@@ -34,7 +37,7 @@ def meta_comment(meta: Mapping[str, object]) -> str:
     return "# " + " ".join(parts)
 
 
-def parse_meta(line: str) -> dict[str, str]:
+def _parse_meta(line: str) -> dict[str, str]:
     body = line[1:].strip()
     meta: dict[str, str] = {}
     if not body:
@@ -50,7 +53,7 @@ def parse_meta(line: str) -> dict[str, str]:
 def write_csv(path, header: str, rows: Sequence[Sequence[str]], meta: Mapping[str, object] | None = None) -> None:
     lines = []
     if meta:
-        lines.append(meta_comment(meta))
+        lines.append(_meta_comment(meta))
     lines.append(header)
     width = len(header.split(","))
     for row in rows:
@@ -84,7 +87,7 @@ def read_csv(path, header: str) -> tuple[list[list[str]], dict[str, str]]:
     lines = [ln for ln in text.split("\n") if ln != ""]
     meta: dict[str, str] = {}
     if lines and lines[0].startswith("#"):
-        meta = parse_meta(lines.pop(0))
+        meta = _parse_meta(lines.pop(0))
     if not lines or lines[0] != header:
         found = lines[0] if lines else "<empty file>"
         raise SchemaError(f"expected header {header!r}, found {found!r}")
@@ -96,3 +99,15 @@ def read_csv(path, header: str) -> tuple[list[list[str]], dict[str, str]]:
             raise SchemaError(f"row {ln!r} has {len(fields)} fields, expected {width}")
         rows.append(fields)
     return rows, meta
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object the file holds; what names the kind of input in errors."""
+    with open_text(path, what) as fh:
+        try:
+            obj = json.load(fh)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise SchemaError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{what} {path} must hold a JSON object")
+    return obj

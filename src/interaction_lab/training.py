@@ -12,7 +12,8 @@ Per-epoch metrics are plain cross-entropy and accuracy, measured after the
 epoch's updates on the full train and validation splits; the modulation terms
 never enter the logged numbers, which keeps runs with different objectives
 comparable. Snapshots profile the current model on a small fixed probe of
-validation samples with every pair and every context enumerated exactly.
+validation samples with every pair and every context enumerated exactly;
+models of more than MAX_TABLE_PLAYERS features take none and build no probe.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import TabularDataset, apply_standardization, split_dataset, standardize
-from .errors import DomainError, NumericError, ValidationError
+from .errors import DomainError, NumericError, ValidationError, require
 from .games import Baseline
 from .interactions import (MAX_TABLE_PLAYERS, LogOddsGame, OrderProfile, order_profile,
                            write_profile_csv)
@@ -69,20 +70,20 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "seed", "snapshot_every"):
-            _require(name, getattr(self, name), Integral)
+            require(name, getattr(self, name), Integral)
         for name in ("learning_rate", "val_fraction"):
-            _require(name, getattr(self, name), Real)
+            require(name, getattr(self, name), Real)
         if not isinstance(self.hidden_sizes, (list, tuple)):
             raise ValidationError(f"hidden_sizes must be a list, got {self.hidden_sizes!r}")
         for size in self.hidden_sizes:
-            _require("hidden_sizes", size, Integral)
+            require("hidden_sizes", size, Integral)
         object.__setattr__(self, "hidden_sizes", tuple(int(s) for s in self.hidden_sizes))
         object.__setattr__(self, "terms", tuple(self.terms))
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+        if self.learning_rate <= 0:
             raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.seed < 0:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
@@ -95,13 +96,6 @@ class TrainConfig:
                 raise ValidationError(f"terms must be ModulationSpec, got {type(term)!r}")
         if not 0 < self.val_fraction < 1:
             raise ValidationError(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
-
-
-def _require(name: str, value, kind) -> None:
-    # bool is an Integral too, but a flag is never a count or a rate
-    if isinstance(value, bool) or not isinstance(value, kind):
-        noun = "an integer" if kind is Integral else "a number"
-        raise ValidationError(f"{name} must be {noun}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -160,10 +154,11 @@ def train(config: TrainConfig, dataset: TabularDataset) -> tuple[MLP, TrainLog]:
         "train_seed": config.seed,
     }
 
+    # built once, and only when snapshots are taken: each game reads the model,
+    # whose weights the steps update in place
     snap_orders = config.snapshot_every > 0 and n <= MAX_TABLE_PLAYERS
-    # built once: each game reads the model, whose weights the steps update in place
     probe = [LogOddsGame(model, baseline, X_val[t], y_val[t])
-             for t in range(min(PROBE_ROWS, len(X_val)))]
+             for t in range(min(PROBE_ROWS, len(X_val)))] if snap_orders else []
 
     stats = []
     snapshots: dict[int, OrderProfile] = {}

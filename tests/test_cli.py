@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import interaction_lab
@@ -350,6 +350,33 @@ def test_train_warns_when_snapshots_exceed_the_table_limit(tmp_path, capsys):
     assert not list((tmp_path / "run").glob("profile_epoch_*.csv"))
 
 
+@pytest.mark.parametrize("snapshot_every", [0, 1])
+def test_train_takes_more_than_64_features(snapshot_every, tmp_path, capsys):
+    # a mask holds at most 64 players, but a run without terms or snapshots
+    # builds no game, so the model trains like any other
+    data = tmp_path / "wide65.csv"
+    write_dataset_csv(data, make_pairwise_task(40, 65, 3, seed=1))
+    argv = _train({"snapshot_every": snapshot_every})(tmp_path, tmp_path)
+    argv[argv.index("--data") + 1] = str(data)
+    assert main(argv) == 0
+    warnings = ["warning: snapshots need n <= 20, got n=65; none were taken"]
+    assert capsys.readouterr().err.splitlines() == (warnings if snapshot_every else [])
+    assert (tmp_path / "run" / "model.json").exists()
+    assert not list((tmp_path / "run").glob("profile_epoch_*.csv"))
+
+
+def test_terms_on_more_than_64_features_are_one_error_line(tmp_path, capsys):
+    # a loss term masks the batch, and a mask holds at most 64 players
+    data = tmp_path / "wide65.csv"
+    write_dataset_csv(data, make_pairwise_task(40, 65, 3, seed=1))
+    argv = _train({"variant": "mid"})(tmp_path, tmp_path)
+    argv[argv.index("--data") + 1] = str(data)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: validation: player count must be in [2, 64], got 65"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_analyze_rejects_65_players(tmp_path, capsys):
     code = main(["analyze", *_wide_model(tmp_path, 65), "--pairs", "2", "--orders", "5",
                  "--samples", "4", "--out", str(tmp_path / "wide.csv")])
@@ -413,6 +440,42 @@ def _far_order_profile(tmp_path):
     return str(path)
 
 
+def _with_meta(command, **changes):
+    """command on a copy of the shared model whose meta takes the changes."""
+    def argv(workdir, tmp_path):
+        model = json.loads((workdir / "run" / "model.json").read_text())
+        model["meta"].update(changes)
+        path = tmp_path / "meta.json"
+        path.write_text(json.dumps(model))
+        flags = ["--eps", "0.1", "--steps", "5"] if command == "attack" else []
+        return [command, "--model", str(path), "--data", str(workdir / "task.csv"), *flags,
+                "--out", str(tmp_path / "out")]
+    return argv
+
+
+# the shared model's scaling metadata, broken one way at a time (it has 6 features)
+_BAD_SCALING = {
+    "non-numeric-mean": {"feature_mean": "abc"},
+    "short-mean": {"feature_mean": [0.0] * 5},
+    "scalar-feature-names": {"feature_names": 5},
+    "zero-std": {"feature_std": [1.0] * 5 + [0.0]},
+    "null-std": {"feature_std": None},
+}
+
+
+def _raw_json(kind, text):
+    """train with a config, or analyze with a model, whose file holds the text."""
+    def argv(workdir, tmp_path):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(text, encoding="utf-8")
+        if kind == "config":
+            return ["train", "--config", str(path), "--data", str(workdir / "task.csv"),
+                    "--out-dir", str(tmp_path / "run")]
+        return ["analyze", "--model", str(path), "--data", str(workdir / "task.csv"),
+                "--out", str(tmp_path / "p.csv")]
+    return argv
+
+
 def _analyze(*flags):
     def argv(workdir, tmp_path):
         return ["analyze", "--model", str(workdir / "run" / "model.json"),
@@ -447,6 +510,16 @@ def _analyze(*flags):
                                     "seed": 5}]}), id="term-seed"),
     pytest.param(_train({"train_fraction": 0.75}), id="train-fraction"),
     pytest.param(_train({"variant": "extreme"}), id="unknown-variant"),
+    pytest.param(_train({"variant": ["low"]}), id="variant-not-a-string"),
+    *[pytest.param(_raw_json(kind, text), id=f"{kind}-{name}")
+      for kind in ("config", "model")
+      for name, text in (("not-an-object", "[1, 2]"), ("nested-too-deep", "[" * 100_000))],
+    pytest.param(_train({"terms": [{"kind": "suppress", "r1": 0.7, "r2": 1.0,
+                                    "lambda": True}]}), id="bool-lambda"),
+    pytest.param(_train({"terms": [{"kind": "suppress", "r1": "0.7", "r2": 1.0,
+                                    "lambda": 1.0}]}), id="string-r1"),
+    *[pytest.param(_with_meta(command, **changes), id=f"{command}-{name}")
+      for command in ("analyze", "attack") for name, changes in _BAD_SCALING.items()],
     pytest.param(lambda w, t: ["analyze", "--model", str(w / "run" / "model.json"),
                                "--data", str(w / "task.csv"), "--rows", "1",
                                "--out", str(t)], id="analyze-out-is-dir"),
@@ -517,6 +590,79 @@ def test_size_beyond_numpy_index_range_is_one_error_line(argv, workdir, tmp_path
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: validation: ")
     assert "Traceback" not in err
+
+
+# any JSON value; its integers are small, so every config that trains stays tiny
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _mostly(valid):
+    """valid values about three times in four, any JSON value otherwise."""
+    return st.integers(0, 3).flatmap(lambda k: _JSON if k == 3 else valid)
+
+
+_FRACTIONS = st.sampled_from([0, 0.3, 0.5, 0.7, 1]) | st.floats(0, 1)
+_TERM = _mostly(st.fixed_dictionaries({}, optional={
+    "kind": _mostly(st.sampled_from(["encourage", "suppress"])),
+    "r1": _mostly(_FRACTIONS), "r2": _mostly(_FRACTIONS),
+    "lambda": _mostly(st.floats(0, 2)), "pair_samples": _mostly(st.integers(1, 8)),
+    "seed": _JSON}))
+_CONFIG = st.fixed_dictionaries(
+    {"epochs": _mostly(st.integers(1, 2)), "batch_size": _mostly(st.integers(1, 64)),
+     "learning_rate": _mostly(st.floats(1e-3, 1)), "seed": _mostly(st.integers(0, 2**70))},
+    optional={"hidden_sizes": _mostly(st.lists(_mostly(st.integers(1, 4)), max_size=2)),
+              "snapshot_every": _mostly(st.integers(0, 2)),
+              "val_fraction": _mostly(st.floats(0, 1)),
+              "terms": _mostly(st.lists(_TERM, max_size=2)),
+              "variant": _mostly(st.sampled_from(["normal", "low", "mid", "high"])),
+              "label_column": _mostly(st.just("label")),
+              "momentum": _JSON})
+
+
+def _exit_contract(argv):
+    """Run argv; its exit code is 0, 1 or 3, with at most one error line and no traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            np.errstate(all="ignore"):
+        code = main(argv)
+    assert code in (0, 1, 3)
+    assert sum(line.startswith("error: ") for line in err.getvalue().splitlines()) <= 1
+    assert "Traceback" not in err.getvalue()
+
+
+_BASE = {"epochs": 1, "batch_size": 32, "learning_rate": 0.1, "seed": 0}
+
+
+@settings(max_examples=100, deadline=None)
+@example(config={**_BASE, "variant": ["low"]})
+@example(config={**_BASE, "terms": [{"kind": "suppress", "r1": 0.7, "r2": 1, "lambda": True}]})
+@example(config={**_BASE, "terms": [{"kind": "suppress", "r1": "0.7", "r2": 1, "lambda": 1}]})
+@given(config=_CONFIG)
+def test_generated_train_configs_keep_the_exit_code_contract(config, workdir):
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        _exit_contract(["train", "--config", str(path), "--data", str(workdir / "task.csv"),
+                        "--out-dir", str(Path(root) / "run")])
+
+
+_SCALING = st.fixed_dictionaries({}, optional={
+    "feature_mean": _mostly(st.lists(st.floats(-2, 2), min_size=6, max_size=6)),
+    "feature_std": _mostly(st.lists(st.floats(0.5, 2), min_size=6, max_size=6)),
+    "feature_names": _mostly(st.just([f"x{k}" for k in range(6)]))})
+
+
+@settings(max_examples=40, deadline=None)
+@example(changes={"feature_names": 5}, command="analyze")
+@example(changes={"feature_names": 5}, command="attack")
+@given(changes=_SCALING, command=st.sampled_from(["analyze", "attack"]))
+def test_generated_model_meta_keeps_the_exit_code_contract(changes, command, workdir):
+    with tempfile.TemporaryDirectory() as root:
+        _exit_contract(_with_meta(command, **changes)(workdir, Path(root)))
 
 
 def test_failing_fit_writes_no_curve(workdir, tmp_path, capsys):

@@ -452,17 +452,3 @@ def test_cached_pair_corners_are_read_only():
         corners[0, 0] = 1
     with pytest.raises(ValueError):
         bins[0] = 1
-
-
-def test_ordered_row_sum_keeps_the_loop_bits():
-    # a loop over the rows from zeros: the zero start turns an all -0.0 column into +0.0
-    rows = np.array([[-0.0, 1e16, 0.1], [-0.0, 1.0, 0.2], [-0.0, -1e16, 0.3], [-0.0, 1.0, 0.4]])
-    expected = np.zeros(3)
-    for row in rows:
-        expected += row
-    assert interactions.ordered_row_sum(rows).tobytes() == expected.tobytes()
-    column = np.random.default_rng(0).normal(size=(40, 1))
-    expected = np.zeros(1)
-    for row in column:
-        expected += row
-    assert interactions.ordered_row_sum(column).tobytes() == expected.tobytes()

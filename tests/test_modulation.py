@@ -14,6 +14,7 @@ from interaction_lab import (
     DomainError,
     GuardError,
     ModulationSpec,
+    SchemaError,
     SyntheticGame,
     ValidationError,
     band_sizes,
@@ -79,6 +80,24 @@ def test_modulation_spec_json_round_trip():
                                        "lambda": 1, "alpha": 2})
     with pytest.raises(ValidationError):
         ModulationSpec.from_json_dict({"kind": "suppress", "r1": 0, "r2": 1})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("lambda", True), ("r1", "0.7"), ("r2", None), ("lambda", float("nan")),
+    ("r1", 10**400), ("pair_samples", True), ("pair_samples", 2.0)])
+def test_term_fields_must_be_json_numbers(key, value):
+    term = {"kind": "suppress", "r1": 0.7, "r2": 1.0, "lambda": 1.0, key: value}
+    with pytest.raises(SchemaError, match=f"^{key} must be "):
+        ModulationSpec.from_json_dict(term)
+
+
+def test_term_fractions_and_weight_are_stored_as_floats():
+    # so a term written with integers hashes into a run stamp like its float twin
+    spec = ModulationSpec("suppress", 0, 1, 2)
+    assert [(type(v), v) for v in (spec.r1, spec.r2, spec.lam)] == [(float, 0.0), (float, 1.0),
+                                                                    (float, 2.0)]
+    assert spec.to_json_dict() == {"kind": "suppress", "r1": 0.0, "r2": 1.0, "lambda": 2.0,
+                                   "pair_samples": 4}
 
 
 def _piecewise_weight(n, r1, r2, m):

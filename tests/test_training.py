@@ -6,6 +6,7 @@ from interaction_lab import (
     DomainError,
     ModulationSpec,
     NumericError,
+    SchemaError,
     TabularDataset,
     TrainConfig,
     ValidationError,
@@ -44,6 +45,20 @@ def test_train_config_validation():
     with pytest.raises(ValidationError):
         TrainConfig(epochs=1, batch_size=8, learning_rate=0.1, seed=0,
                     terms=("suppress",))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", True), ("batch_size", 8.0), ("seed", "0"), ("learning_rate", float("inf")),
+    ("learning_rate", 10**400), ("val_fraction", float("nan")), ("hidden_sizes", [4, False])])
+def test_train_config_fields_are_typed(field, value):
+    fields = {"epochs": 1, "batch_size": 8, "learning_rate": 0.1, "seed": 0, field: value}
+    with pytest.raises(SchemaError, match=f"^{field} must be "):
+        TrainConfig(**fields)
+
+
+def test_train_config_takes_an_integer_rate_as_given():
+    # a rate beyond int64 is still a number; the run stamp records it unchanged
+    assert TrainConfig(epochs=1, batch_size=8, learning_rate=10**20, seed=0).learning_rate == 10**20
 
 
 def test_variant_recipes():
