@@ -488,7 +488,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         keep_freed_memory()
-        with one_blas_thread():
+        # numpy's warnings would add stderr lines; finite checks raise NumericError
+        with one_blas_thread(), np.errstate(all="ignore"):
             return args.func(args)
     except (ValidationError, OSError, MemoryError) as exc:
         # a file that cannot be written is bad input like any other, and so is

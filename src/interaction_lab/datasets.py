@@ -14,7 +14,6 @@ exact same rows.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from math import floor, isfinite
 from statistics import NormalDist
@@ -23,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, SchemaError, ValidationError
 from .rng import make_rng
-from .textio import format_float, open_text, write_csv
+from .textio import format_float, read_csv_rows, write_csv
 
 BUNDLED_TASKS = ("pairs", "conjunction")
 _BUNDLED_PREFIX = "bundled:"
@@ -114,14 +113,11 @@ def _first_bad_cell(body: list[list[str]], header: list[str], label_idx: int) ->
 def load_dataset_csv(path, label_column: str) -> TabularDataset:
     """Strict CSV reader: header row, numeric features, any labels.
 
-    Lines starting with '#' before the header are skipped, so files written
-    by this package read back. Parse failures raise errors naming the 1-based
-    data row and the column.
+    '#' lines before the header are skipped, so files written by this package
+    read back. Parse failures raise errors naming the 1-based data row and
+    the column.
     """
-    with open_text(path, "dataset", newline="") as fh:
-        lines = list(csv.reader(fh))
-    while lines and lines[0] and lines[0][0].startswith("#"):
-        lines = lines[1:]
+    lines = read_csv_rows(path, "dataset")[1]
     if not lines:
         raise SchemaError(f"dataset {path} is empty")
     header = [name.strip() for name in lines[0]]
@@ -130,7 +126,7 @@ def load_dataset_csv(path, label_column: str) -> TabularDataset:
     if label_column not in header:
         raise SchemaError(
             f"dataset {path} has no column {label_column!r}; columns are {header}")
-    body = [row for row in lines[1:] if row]
+    body = lines[1:]
     if not body:
         raise SchemaError(f"dataset {path} has a header but no data rows")
     label_idx = header.index(label_column)
@@ -142,7 +138,9 @@ def load_dataset_csv(path, label_column: str) -> TabularDataset:
         raw_labels = [row[label_idx].strip() for row in body]
         if not all(raw_labels):
             raise ValueError
-        features = np.array([[float(row[k]) for k in feature_idx] for row in body])
+        cells = [row[k] for row in body for k in feature_idx]
+        features = np.fromiter(map(float, cells), float, len(cells)).reshape(
+            len(body), len(feature_idx))
         if not np.isfinite(features).all():
             raise ValueError
     except ValueError:
@@ -155,10 +153,18 @@ def load_dataset_csv(path, label_column: str) -> TabularDataset:
 
 
 def write_dataset_csv(path, dataset: TabularDataset, meta=None) -> None:
-    """Write a dataset the loader reads back identically; bytes are stable."""
+    """Write a dataset the loader reads back identically; bytes are stable.
+
+    A dataset that would read back otherwise raises SchemaError.
+    """
+    columns = [*dataset.feature_names, dataset.label_name]
+    if (not dataset.num_rows or len(set(columns)) < len(columns) or "" in dataset.label_values
+            or any(text != text.strip() for text in [*columns, *dataset.label_values])):
+        raise SchemaError("a dataset reads back only with rows, distinct column names, "
+                          "non-empty labels and no whitespace around names or labels")
     rows = [[*map(format_float, row), dataset.label_values[label]]
             for row, label in zip(dataset.features, dataset.labels)]
-    write_csv(path, ",".join([*dataset.feature_names, dataset.label_name]), rows, meta)
+    write_csv(path, columns, rows, meta)
 
 
 def standardize(dataset: TabularDataset) -> tuple[TabularDataset, np.ndarray, np.ndarray]:

@@ -46,7 +46,7 @@ _GATHER_CONTEXTS = 1 << 14
 _PAIR_STREAM = 0x9E3779B9
 _SAMPLE_STREAM = 0x85EBCA6B
 
-PROFILE_HEADER = "m,strength,normalized"
+PROFILE_HEADER = ("m", "strength", "normalized")
 
 
 @dataclass(frozen=True)

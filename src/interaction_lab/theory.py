@@ -32,7 +32,7 @@ from .textio import format_float, write_csv
 MAX_SIMULATED_CONTEXTS = 1_000_000
 MAX_CURVE_PLAYERS = 1000  # every C(n-2, m) stays inside the float range
 
-THEORY_HEADER = "m,f_hat"
+THEORY_HEADER = ("m", "f_hat")
 
 
 @dataclass(frozen=True)

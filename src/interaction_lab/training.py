@@ -34,7 +34,7 @@ from .modulation import ModulationSpec, band_sizes, combined_value_and_grad
 from .rng import child_seed, make_rng
 from .textio import format_float, write_csv
 
-TRAIN_LOG_HEADER = "epoch,train_loss,train_acc,val_loss,val_acc"
+TRAIN_LOG_HEADER = ("epoch", "train_loss", "train_acc", "val_loss", "val_acc")
 PROBE_ROWS = 16
 
 _SPLIT_STREAM = 0x165667B1

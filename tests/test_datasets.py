@@ -1,8 +1,12 @@
 """Tests for CSV ingestion, splits, scaling, and the bundled tasks."""
 import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from interaction_lab import (
     DomainError,
@@ -58,6 +62,61 @@ def test_csv_round_trip_is_byte_stable(tmp_path):
     assert np.array_equal(loaded.labels, ds.labels)
     assert loaded.feature_names == ds.feature_names
     assert loaded.label_values == ds.label_values
+
+
+def _reads_back(dataset, meta=None):
+    """Write the dataset; unless the writer refuses it, it loads back equal."""
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "data.csv"
+        try:
+            write_dataset_csv(path, dataset, meta)
+        except SchemaError:
+            return False
+        loaded = load_dataset_csv(path, dataset.label_name)
+    assert loaded.features.shape == dataset.features.shape
+    assert loaded.features.tobytes() == dataset.features.tobytes()
+    assert loaded.feature_names == dataset.feature_names
+    assert ([loaded.label_values[k] for k in loaded.labels]
+            == [dataset.label_values[k] for k in dataset.labels])
+    return True
+
+
+def test_quoted_names_and_labels_read_back():
+    feats = np.array([[1.0, -0.0], [2.5, 1e-320]])
+    assert _reads_back(TabularDataset(feats, np.array([0, 0]), ("a,b", 'q"x'), "label",
+                                      ("x,y",)), meta=None)
+    assert _reads_back(TabularDataset(feats, np.array([1, 0]), ("a\nb", "#c"), '"y"',
+                                      ("1,5", "a\nb")), meta={"seed": 3})
+
+
+# texts a CSV dialect can get wrong, plus any text
+_TEXT = st.sampled_from(["", "x,y", 'q"x', "a,b", "#", "#a", " a", "a ", "\r", "\n", "a\r\nb",
+                         "a\rb", '"', "1", "1.0", "01", "-2e3", "nan", "inf", "label",
+                         "\x00", "\ufeff", "\ufeffa"]) | st.text(
+    st.sampled_from(',"\r\n# \t\x00a1.e-') | st.characters(), max_size=6)
+
+
+@st.composite
+def _datasets(draw):
+    names = draw(st.lists(_TEXT, max_size=4))
+    values = draw(st.lists(_TEXT, min_size=1, max_size=3))
+    rows = draw(st.integers(0, 4))
+    cells = st.floats(allow_nan=False, allow_infinity=False)
+    feats = np.array(draw(st.lists(st.lists(cells, min_size=len(names), max_size=len(names)),
+                                   min_size=rows, max_size=rows)), dtype=float)
+    labels = draw(st.lists(st.integers(0, len(values) - 1), min_size=rows, max_size=rows))
+    return TabularDataset(feats.reshape(rows, len(names)), np.array(labels, dtype=int),
+                          tuple(names), draw(_TEXT), tuple(values))
+
+
+@settings(max_examples=300, deadline=None)
+@example(dataset=TabularDataset(np.zeros((1, 2)), np.array([0]), ("a", "b"), "label", ("x,y",)),
+         meta=None)
+@example(dataset=TabularDataset(np.zeros((1, 2)), np.array([0]), ("a,b", "c"), "label", ("y",)),
+         meta=None)
+@given(dataset=_datasets(), meta=st.none() | st.just({"source": "unit"}))
+def test_written_datasets_read_back_or_are_refused(dataset, meta):
+    _reads_back(dataset, meta)
 
 
 def test_loader_errors_name_row_and_column(tmp_path):
@@ -122,6 +181,14 @@ def test_loader_structural_errors(tmp_path):
         load_dataset_csv(path, "label")
     with pytest.raises(ValidationError, match="cannot read"):
         load_dataset_csv(tmp_path / "missing.csv", "label")
+
+
+def test_loader_reads_over_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes("\ufeff# a=b\r\nlabel,x\r\n1,0.5\r\n0,2\r\n".encode("utf-8"))
+    ds = load_dataset_csv(path, "label")
+    assert ds.feature_names == ("x",)
+    assert ds.features.tolist() == [[0.5], [2.0]]
 
 
 def test_label_order_numeric_vs_lexicographic(tmp_path):

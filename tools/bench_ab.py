@@ -24,6 +24,13 @@ change is worse than the parent's median by more than the metric's bound,
 taken relative to the parent's median. The machine's CPU count, the numpy
 version and its BLAS head the report, next to each side's `src/` size as
 `wc -l src/interaction_lab/*.py` counts it.
+
+The last stdout line is one JSON object holding the same numbers: the
+workload, pairs, seconds and first seed; the machine; both sides' `src/`
+line counts; for each end-to-end metric its unit, direction, bound, the
+parent's median and quartiles, the change's median and its wins; and the
+problems that make the script fail. One such object per workload makes a
+point of the benchmark's trajectory (`BENCH_<n>.json`).
 """
 from __future__ import annotations
 
@@ -57,10 +64,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
-def machine() -> str:
+def machine() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return (f"cpus={os.cpu_count()} usable={len(os.sched_getaffinity(0))} "
-            f"numpy={np.__version__} blas={blas.get('name')} {blas.get('version')}")
+    return {"cpus": os.cpu_count(), "usable": len(os.sched_getaffinity(0)),
+            "numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
 
 
 def src_lines(checkout: Path) -> int:
@@ -74,23 +81,35 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def report(metrics: list[dict], runs: dict[str, list[dict]]) -> None:
-    pairs = len(runs["parent"])
-    print(f"{'metric':26} {'parent median':>14} {'parent Q1-Q3':>23} "
-          f"{'change median':>14} {'wins':>6} {'gap>IQR':>8} worse>bound")
+def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> dict[str, dict]:
+    """Per metric: its declaration, both sides' medians, the parent's quartiles, the wins."""
+    out = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         values = {side: [run["metrics"][name]["value"] for run in runs[side]]
                   for side in SIDES}
-        parent, change = (statistics.median(values[side]) for side in SIDES)
         q1, q3 = quartiles(values["parent"])
-        wins = sum((c < p) if lower else (c > p)
-                   for p, c in zip(values["parent"], values["change"]))
+        out[name] = {
+            "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
+            "parent_median": statistics.median(values["parent"]), "parent_q1": q1,
+            "parent_q3": q3, "change_median": statistics.median(values["change"]),
+            "wins": sum((c < p) if lower else (c > p)
+                        for p, c in zip(values["parent"], values["change"])),
+            "pairs": len(values["parent"])}
+    return out
+
+
+def report(summary: dict[str, dict]) -> None:
+    print(f"{'metric':26} {'parent median':>14} {'parent Q1-Q3':>23} "
+          f"{'change median':>14} {'wins':>6} {'gap>IQR':>8} worse>bound")
+    for name, m in summary.items():
+        parent, change, q1, q3 = (m["parent_median"], m["change_median"],
+                                  m["parent_q1"], m["parent_q3"])
         # relative change of the median in the direction that is worse
-        worse = (change / parent - 1.0) if lower else (1.0 - change / parent)
+        worse = (change / parent - 1.0) if m["better"] == "lower" else (1.0 - change / parent)
         print(f"{name:26} {parent:14.6g} {q1:11.6g}-{q3:<11.6g} {change:14.6g} "
-              f"{wins:>3}/{pairs:<2} {str(abs(change - parent) > q3 - q1):>8} "
-              f"{worse > metric['bound']} ({100 * worse:+.1f}% vs {100 * metric['bound']:g}%)")
+              f"{m['wins']:>3}/{m['pairs']:<2} {str(abs(change - parent) > q3 - q1):>8} "
+              f"{worse > m['bound']} ({100 * worse:+.1f}% vs {100 * m['bound']:g}%)")
 
 
 def main(argv=None) -> int:
@@ -107,7 +126,10 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     metrics = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]
 
-    print(machine(), *(f"src_lines_{side}={src_lines(checkouts[side])}" for side in SIDES))
+    host = machine()
+    lines = {side: src_lines(checkouts[side]) for side in SIDES}
+    print(*(f"{key}={value}" for key, value in host.items()),
+          *(f"src_lines_{side}={lines[side]}" for side in SIDES))
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     problems = []
     for i in range(args.pairs):
@@ -124,9 +146,13 @@ def main(argv=None) -> int:
                      for side in SIDES}
         if per_round["parent"] != per_round["change"]:
             problems.append(f"seed {seed}: operations per round differ {per_round}")
-    report(metrics, runs)
+    summary = summarize(metrics, runs)
+    report(summary)
     for problem in problems:
         print(f"FAILED {problem}", file=sys.stderr)
+    print(json.dumps({"workload": args.workload, "pairs": args.pairs, "seconds": args.seconds,
+                      "seed": args.seed, "machine": host, "src_lines": lines,
+                      "metrics": summary, "problems": problems}))
     return 1 if problems else 0
 
 
